@@ -16,7 +16,8 @@ from .correspondence import (SpaceVector, direction_scale_composite,
                              space_vector_single, v_overlap_with_extremal,
                              verify_isomorphism)
 from .generators import GeneratorSet, build_generators, expand_on_generators, scale_constant
-from .linalg import HermitianEigenSystem, degeneracy_groups, eigh, kron, matmul, trace
+from .linalg import (HermitianEigenSystem, ValidationError, degeneracy_groups, eigh,
+                     kron, matmul, trace)
 from .measurement import (MeasurementRecord, MeasurementSimplex,
                           MeasurementStatistics, OnSimplexState,
                           approach_trajectory, barycentric_stream,
@@ -40,7 +41,8 @@ __all__ = [
     "eigenstate_projections", "isomorphism_sweep", "space_vector_composite",
     "space_vector_single", "v_overlap_with_extremal", "verify_isomorphism",
     "GeneratorSet", "build_generators", "expand_on_generators", "scale_constant",
-    "HermitianEigenSystem", "degeneracy_groups", "eigh", "kron", "matmul", "trace",
+    "HermitianEigenSystem", "ValidationError", "degeneracy_groups", "eigh", "kron",
+    "matmul", "trace",
     "MeasurementRecord", "MeasurementSimplex", "MeasurementStatistics",
     "OnSimplexState", "approach_trajectory", "barycentric_stream",
     "born_probabilities", "draw_disintegration_point", "lueders_post_state",

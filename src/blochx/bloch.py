@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSet, build_generators
-from .linalg import as_square_matrix, fix_phase, is_hermitian
+from .generators import GeneratorSet, _generator_sum, _generator_traces
+from .linalg import ValidationError, as_square_matrix, fix_phase, is_hermitian
 
 TRACE_ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
@@ -93,10 +93,10 @@ def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
     """Coordinates r_i = (N / 2c_N) Tr(D L_i) of an operator-state."""
     if d.dim != g.dim:
         raise ValueError(f"dimension mismatch: state is {d.dim}, generators are {g.dim}")
-    raw = np.einsum("kij,ji->k", g.matrices, d.matrix) * (g.dim / (2.0 * g.c))
+    raw = _generator_traces(d.matrix, g) * (g.dim / (2.0 * g.c))
     residue = float(np.max(np.abs(raw.imag)))
     if residue > 1e-10:
-        raise ValueError(f"imaginary residue {residue:.3e} in coordinates")
+        raise ValidationError(f"imaginary residue {residue:.3e} in coordinates")
     return BlochVector(dim_n=g.dim, coords=raw.real)
 
 
@@ -109,7 +109,7 @@ def bloch_to_operator(r: BlochVector, g: GeneratorSet) -> np.ndarray:
     if r.dim_n != g.dim:
         raise ValueError(f"dimension mismatch: vector is for N={r.dim_n}, generators are {g.dim}")
     n = g.dim
-    return (np.eye(n, dtype=complex) + g.c * np.tensordot(r.coords, g.matrices, axes=1)) / n
+    return (np.eye(n, dtype=complex) + g.c * _generator_sum(r.coords, g)) / n
 
 
 def purity(r: BlochVector) -> float:
@@ -166,7 +166,3 @@ def random_ket(n: int, rng: np.random.Generator) -> PureState:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(v / np.linalg.norm(v))
 
-
-def default_generators(n: int) -> GeneratorSet:
-    """Canonical-basis generator set for dimension n."""
-    return build_generators(n)

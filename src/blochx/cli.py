@@ -4,7 +4,9 @@ Every subcommand writes one deterministic pretty-printed JSON report
 (stdout by default, or the file named by its output flag) carrying
 ``"blochx_schema": 1`` and a ``generated_at`` timestamp, the one field
 excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
-2 numerical validation failure.
+2 numerical validation failure.  Hilbert space dimensions above 64 (the
+dense generator stack and the eigenstate simplex grow as N^4 and N^3) are
+refused as usage errors before anything is built.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .correspondence import (direction_scale_composite, direction_scale_single,
                              space_vector_composite, space_vector_single,
                              v_overlap_with_extremal)
 from .generators import build_generators
+from .linalg import ValidationError
 from .measurement import run_measurement, simplex_from_observable
 from .spin import Direction3, build_spin_system, check_spin, spin_along
 
@@ -36,6 +39,7 @@ SEED_ENV_VAR = "BLOCHX_SEED"
 DEFAULT_ISO_TOLERANCE = 1e-9
 SPACING_TOLERANCE = 1e-10
 AGREEMENT_TOLERANCE = 1e-10
+MAX_DIM = 64
 
 
 class UsageError(Exception):
@@ -59,11 +63,19 @@ class RunConfig:
     params: argparse.Namespace
 
 
+def _spin_dim(s: float) -> int:
+    return int(round(2 * s)) + 1
+
+
 def _parse_spin_flag(text: str) -> float:
     try:
-        return check_spin(float(text))
+        s = check_spin(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid spin: {text!r}")
+    dim = _spin_dim(s)
+    if dim > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"spin {text} has dimension {dim}, above the limit of {MAX_DIM}")
+    return s
 
 
 def _parse_direction_flag(text: str) -> Direction3:
@@ -102,12 +114,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dimension_flag(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimension {value} is above the limit of {MAX_DIM}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="blochx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generators", help="emit the ordered generator basis for N")
-    p.add_argument("--n", type=_positive_int, required=True, help="Hilbert space dimension (>= 2)")
+    p.add_argument("--n", type=_dimension_flag, required=True,
+                   help=f"Hilbert space dimension (2 to {MAX_DIM})")
     p.add_argument("--json", dest="output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bloch", help="convert between operator-states and coordinate vectors")
@@ -176,6 +196,11 @@ def parse_args(argv) -> RunConfig:
             raise UsageError("--prop 1 requires --s")
         if args.prop in ("2", "2bis") and (args.s1 is None or args.s2 is None):
             raise UsageError(f"--prop {args.prop} requires --s1 and --s2")
+    if args.command == "compose" or (args.command == "verify" and args.prop != "1"):
+        dim = _spin_dim(args.s1) * _spin_dim(args.s2)
+        if dim > MAX_DIM:
+            raise UsageError(f"--s1 {args.s1} and --s2 {args.s2} have composite dimension "
+                             f"{dim}, above the limit of {MAX_DIM}")
     if args.command == "measure" and args.trajectory_steps is not None and args.output is None:
         raise UsageError("--trajectory-steps requires --out for the CSV path")
     return RunConfig(command=args.command, seed=seed,
@@ -461,6 +486,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

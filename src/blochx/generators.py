@@ -9,10 +9,16 @@ exactly the Pauli triple; for N = 3 it is the Gell-Mann family.
 The ordering is fixed: all symmetric pairs (j, k) with j < k in
 lexicographic order, then the antisymmetric pairs in the same order, then
 the diagonal members, so coordinate vectors are reproducible across runs.
+
+The traces Tr(a L_i) and the combinations sum_i x_i L_i are read off and
+written into matrix entries directly, in O(N^2) for the canonical basis;
+the dense (N^2-1, N, N) stack is built only when it is asked for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -31,17 +37,36 @@ def scale_constant(n: int) -> float:
 class GeneratorSet:
     """Ordered generator basis of an N-level system.
 
-    ``matrices`` is an (N^2-1, N, N) stack; ``basis`` holds the orthonormal
-    basis vectors as columns; ``c`` is sqrt(N(N-1)/2).
+    ``basis`` holds the orthonormal basis vectors as columns, or is None
+    for the canonical basis; ``c`` is sqrt(N(N-1)/2).  ``matrices``, the
+    (N^2-1, N, N) stack, is built on first access and then kept: the
+    coordinate maps work from the entries of an operator and never need
+    it, so only iterating, indexing or reading ``matrices`` pays for it.
     """
 
     dim: int
-    matrices: np.ndarray
-    basis: np.ndarray
+    basis: Optional[np.ndarray]
     c: float
 
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        b = np.eye(self.dim, dtype=complex) if self.basis is None else self.basis
+        return _stack(b)
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where the coordinate maps read and write: the flat positions of
+        the entries (j, k) and (k, j) of each pair j < k, and for the
+        diagonal members l = 1..N-1 the normalizations sqrt(2/(l(l+1)))
+        and the same times l."""
+        n = self.dim
+        j, k = np.triu_indices(n, 1)
+        l = np.arange(1, n)
+        norm = np.sqrt(2.0 / (l * (l + 1)))
+        return j * n + k, k * n + j, norm, l * norm
+
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return self.dim * self.dim - 1
 
     def __iter__(self):
         return iter(self.matrices)
@@ -50,24 +75,9 @@ class GeneratorSet:
         return self.matrices[i]
 
 
-def build_generators(n: int, basis=None) -> GeneratorSet:
-    """Construct the ordered generator basis for dimension ``n``.
-
-    ``basis``, if given, must be an n x n unitary whose columns replace the
-    canonical basis vectors.  Raises ValueError for n < 2 or a non-unitary
-    basis.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    if basis is None:
-        b = np.eye(n, dtype=complex)
-    else:
-        b = as_square_matrix(basis)
-        if b.shape[0] != n:
-            raise ValueError(f"basis shape {b.shape} does not match dimension {n}")
-        if np.max(np.abs(b.conj().T @ b - np.eye(n))) > UNITARITY_ATOL:
-            raise ValueError("basis is not unitary within 1e-10")
-
+def _stack(b: np.ndarray) -> np.ndarray:
+    """The dense generator stack on the columns of the unitary ``b``."""
+    n = b.shape[0]
     cols = [b[:, i] for i in range(n)]
     mats = []
     for j in range(n):
@@ -79,8 +89,66 @@ def build_generators(n: int, basis=None) -> GeneratorSet:
     for l in range(1, n):
         diag_sum = sum(np.outer(cols[j], cols[j].conj()) for j in range(l))
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * (diag_sum - l * np.outer(cols[l], cols[l].conj())))
+    return np.stack(mats)
 
-    return GeneratorSet(dim=n, matrices=np.stack(mats), basis=b, c=scale_constant(n))
+
+def build_generators(n: int, basis=None) -> GeneratorSet:
+    """Construct the ordered generator basis for dimension ``n``.
+
+    ``basis``, if given, must be an n x n unitary whose columns replace the
+    canonical basis vectors.  Raises ValueError for n < 2 or a non-unitary
+    basis.
+    """
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    if basis is not None:
+        basis = as_square_matrix(basis)
+        if basis.shape[0] != n:
+            raise ValueError(f"basis shape {basis.shape} does not match dimension {n}")
+        if np.max(np.abs(basis.conj().T @ basis - np.eye(n))) > UNITARITY_ATOL:
+            raise ValueError("basis is not unitary within 1e-10")
+    return GeneratorSet(dim=n, basis=basis, c=scale_constant(n))
+
+
+def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
+    """Tr(a L_i) for every generator, in the generator order, read off the
+    entries of ``a`` in the generator basis (Bertlmann and Krammer, J. Phys.
+    A 41, 235303, 2008): a_jk + a_kj and -i(a_kj - a_jk) for the pairs
+    j < k, and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for
+    the diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
+    imaginary parts."""
+    if g.basis is not None:
+        a = g.basis.conj().T @ a @ g.basis
+    upper, lower, norm, l_norm = g._layout
+    flat = a.ravel()
+    a_jk, a_kj = flat[upper], flat[lower]
+    d = a.diagonal()
+    # each diagonal entry is scaled before it is summed, left to right, as
+    # np.einsum over the dense stack sums it, so on the canonical basis the
+    # traces equal that contraction bit for bit
+    head = np.cumsum(np.outer(norm, d), axis=1).diagonal()
+    return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[1:]])
+
+
+def _generator_sum(coeffs: np.ndarray, g: GeneratorSet) -> np.ndarray:
+    """sum_i coeffs_i L_i, scattered straight into the matrix entries; the
+    inverse of :func:`_generator_traces` up to the factor Tr(L_i L_j) = 2."""
+    n = g.dim
+    upper, lower, norm, l_norm = g._layout
+    pairs = len(upper)
+    sym, anti, diag = coeffs[:pairs], coeffs[pairs:2 * pairs], coeffs[2 * pairs:]
+    m = np.zeros(n * n, dtype=complex)
+    m[upper] = sym - 1j * anti
+    m[lower] = sym + 1j * anti
+    # member l adds its weight to the entries 0..l-1 and -l times it to entry l
+    diagonal = np.zeros(n)
+    diagonal[:-1] = np.cumsum((norm * diag)[::-1])[::-1]
+    diagonal[1:] -= l_norm * diag
+    m[::n + 1] = diagonal
+    m = m.reshape(n, n)
+    if g.basis is not None:
+        m = g.basis @ m @ g.basis.conj().T
+    return m
 
 
 def expand_on_generators(a, g: GeneratorSet) -> tuple[complex, np.ndarray]:
@@ -93,5 +161,4 @@ def expand_on_generators(a, g: GeneratorSet) -> tuple[complex, np.ndarray]:
     if a.shape[0] != g.dim:
         raise ValueError(f"dimension mismatch: matrix is {a.shape[0]}, generators are {g.dim}")
     identity_coeff = complex(np.trace(a)) / g.dim
-    coeffs = np.einsum("kij,ji->k", g.matrices, a) / 2.0
-    return identity_coeff, coeffs
+    return identity_coeff, _generator_traces(a, g) / 2.0

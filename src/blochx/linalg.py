@@ -1,8 +1,10 @@
-"""Dense complex linear algebra for small Hilbert spaces (N <= 64).
+"""Dense complex linear algebra for small Hilbert spaces.
 
 Contract-checked wrappers around numpy: products, traces, Kronecker
 products, and Hermitian eigendecompositions with a deterministic
-per-column phase convention so eigenvectors are reproducible.
+per-column phase convention so eigenvectors are reproducible.  Nothing
+here bounds N; the limit N <= 64 applies only to the dense generator
+stack (N^4 * 16 bytes) and to the dimensions the CLI accepts.
 """
 from __future__ import annotations
 
@@ -13,6 +15,12 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 PHASE_MAGNITUDE_CUTOFF = 1e-9
 DEGENERACY_ATOL = 1e-9
+
+
+class ValidationError(ValueError):
+    """A numerical check failed on well-formed input: a spectrum off its
+    grid, eigenstates that are not orthonormal, a simplex of the wrong
+    shape, or an imaginary residue in real coordinates."""
 
 
 def as_square_matrix(a) -> np.ndarray:

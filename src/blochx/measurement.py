@@ -26,7 +26,7 @@ import numpy as np
 
 from .bloch import BlochVector, DensityState, state_to_bloch
 from .generators import GeneratorSet, build_generators
-from .linalg import degeneracy_groups
+from .linalg import ValidationError, degeneracy_groups
 from .spin import SpinObservable
 
 VERTEX_GEOMETRY_ATOL = 1e-10
@@ -88,7 +88,6 @@ class MeasurementRecord:
     lambda_: np.ndarray
     outcome_index: int
     post_state: DensityState
-    trajectory: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     gram = np.einsum("aij,bji->ab", projectors, projectors)
     if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_ATOL:
-        raise ValueError("eigenstates do not form an orthonormal rank-1 family")
+        raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
     vertices = np.stack([
         state_to_bloch(DensityState(projectors[i]), g).coords for i in range(n)
@@ -139,9 +138,9 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
     dots = vertices @ vertices.T
     expected = -np.ones((n, n)) / (n - 1) + (1.0 + 1.0 / (n - 1)) * np.eye(n)
     if np.max(np.abs(dots - expected)) > VERTEX_GEOMETRY_ATOL:
-        raise ValueError("eigenstate vectors do not form a regular simplex")
+        raise ValidationError("eigenstate vectors do not form a regular simplex")
     if np.max(np.abs(vertices.sum(axis=0))) > VERTEX_GEOMETRY_ATOL:
-        raise ValueError("simplex centroid is off the ball center")
+        raise ValidationError("simplex centroid is off the ball center")
 
     groups = tuple(tuple(grp) for grp in degeneracy_groups(values))
     vertex_group = np.empty(n, dtype=int)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import DensityState
-from .linalg import eigh
+from .linalg import ValidationError, eigh
 
 DIRECTION_ATOL = 1e-12
 SPECTRUM_ATOL = 1e-10
@@ -139,7 +139,7 @@ def spin_along(sys: SpinSystem, n: Direction3) -> SpinObservable:
     mu = -sys.s + np.arange(sys.dim)
     deviation = float(np.max(np.abs(es.eigenvalues - mu)))
     if deviation > SPECTRUM_ATOL:
-        raise ValueError(f"spectrum deviates from the -s..s grid by {deviation:.3e}")
+        raise ValidationError(f"spectrum deviates from the -s..s grid by {deviation:.3e}")
     states = tuple(DensityState(es.projector(i)) for i in range(sys.dim))
     return SpinObservable(system=sys, direction=n, matrix=mat,
                           eigenvalues=mu, eigenstates=states)

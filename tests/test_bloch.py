@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import (BlochVector, DensityState, PureState,
                           bloch_to_operator, is_state, projector_to_ket,
                           pure_state_from_direction, purity, random_density,
                           state_to_bloch)
+from blochx.correspondence import (space_vector_composite, space_vector_single,
+                                   v_overlap_with_extremal)
+from blochx.composite import build_composite
 from blochx.generators import build_generators
+from blochx.linalg import ValidationError
+from blochx.measurement import run_measurement, simplex_from_observable
+from blochx.spin import X1, X3, build_spin_system, spin_along
+from conftest import random_unitary
 
 
 def unit_vector(n, index):
@@ -55,6 +63,13 @@ class TestStateToBloch:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             state_to_bloch(DensityState(np.eye(3) / 3), build_generators(2))
+
+    def test_imaginary_residue_is_a_validation_error(self):
+        # DensityState refuses a non-Hermitian matrix, so bypass its check
+        d = object.__new__(DensityState)
+        object.__setattr__(d, "matrix", np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(ValidationError, match="imaginary residue"):
+            state_to_bloch(d, build_generators(2))
 
 
 class TestBlochToOperator:
@@ -205,3 +220,50 @@ class TestVectorTypes:
     def test_pure_state_phase_fixed(self):
         state = PureState(np.array([0.0, 1j]))
         assert np.allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+
+
+def _generators(n, custom, rng):
+    return build_generators(n, basis=random_unitary(n, rng) if custom else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_state_to_bloch_matches_the_dense_stack(n, custom, seed):
+    rng = np.random.default_rng(seed)
+    g = _generators(n, custom, rng)
+    d = random_density(n, rng)
+    dense = np.einsum("kij,ji->k", g.matrices, d.matrix) * (n / (2.0 * g.c))
+    coords = state_to_bloch(d, g).coords
+    assert np.max(np.abs(coords - dense.real)) <= 1e-14
+    if not custom:
+        # same sums in the same order, so reports stay bit-identical
+        assert np.array_equal(coords, dense.real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bloch_to_operator_matches_the_dense_stack(n, custom, seed):
+    rng = np.random.default_rng(seed)
+    g = _generators(n, custom, rng)
+    coords = rng.standard_normal(n * n - 1)
+    r = BlochVector(n, coords * rng.random() / np.linalg.norm(coords))
+    dense = (np.eye(n) + g.c * np.tensordot(r.coords, g.matrices, axes=1)) / n
+    assert np.max(np.abs(bloch_to_operator(r, g) - dense)) <= 1e-14
+
+
+def test_n36_paths_never_build_the_stack():
+    g = build_generators(36)
+    single = build_spin_system(17.5)
+    v = space_vector_single(single, X3, g)
+    simplex = simplex_from_observable(spin_along(single, X3), g)
+    assert abs(v_overlap_with_extremal(v, simplex, g)
+               - (1.0 - np.sqrt(3.0 * 35 ** 2 / 37)) / 36) < 1e-10
+    psi = random_density(36, np.random.default_rng(36))
+    stats = run_measurement(psi, simplex, 1000, seed=5, generators=g)
+    assert int(stats.counts.sum()) == 1000
+    assert is_state(state_to_bloch(psi, g), g)[0]
+    pair = build_composite(2.5, 2.5)
+    u = space_vector_composite(pair, X1, "coupled", g)
+    w = space_vector_composite(pair, X1, "product", g)
+    assert np.linalg.norm(u.coords - w.coords) < 1e-10
+    assert "matrices" not in g.__dict__

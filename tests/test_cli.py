@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import blochx
+from blochx import cli, spin
 from blochx.bloch import pure_state_from_direction
 from blochx.cli import main, parse_args
+from blochx.linalg import ValidationError
 from blochx.serialize import dumps, matrix_from_json, matrix_to_json
 
 
@@ -32,10 +34,10 @@ def child_env(env_extra=None):
     return env
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "blochx", *args],
                           capture_output=True, text=True, cwd=cwd,
-                          env=child_env(env_extra))
+                          env=child_env(env_extra), timeout=timeout)
 
 
 def test_child_imports_blochx_under_test(tmp_path):
@@ -288,3 +290,64 @@ class TestErrors:
         code = main(["measure", "--s", "0.5"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_validation_error_exits_2(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise ValidationError("simplex centroid is off the ball center")
+        monkeypatch.setitem(cli._HANDLERS, "spin", fail)
+        assert main(["spin", "--s", "0.5", "--direction", "0,0,1"]) == 2
+        assert "error: simplex centroid" in capsys.readouterr().err
+
+    def test_other_value_error_exits_1(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise ValueError("dimension mismatch: state is 3, generators are 2")
+        monkeypatch.setitem(cli._HANDLERS, "spin", fail)
+        assert main(["spin", "--s", "0.5", "--direction", "0,0,1"]) == 1
+        assert "error: dimension mismatch" in capsys.readouterr().err
+
+    def test_failed_spectrum_check_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(spin, "SPECTRUM_ATOL", -1.0)
+        assert main(["spin", "--s", "1", "--direction", "0,0,1"]) == 2
+        assert "spectrum deviates" in capsys.readouterr().err
+
+
+class TestSizeLimits:
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built before the size check")
+        for name in ("build_generators", "build_spin_system", "build_composite"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["generators", "--n", "65"],
+        ["spin", "--s", "32", "--direction", "0,0,1"],
+        ["measure", "--s", "32", "--direction", "0,0,1", "--state", "psi.json",
+         "--samples", "10"],
+        ["verify", "--prop", "1", "--s", "40"],
+        ["compose", "--s1", "3.5", "--s2", "4", "--direction", "0,0,1",
+         "--basis", "coupled"],
+        ["verify", "--prop", "2", "--s1", "4", "--s2", "3.5"],
+    ])
+    def test_oversized_input_is_a_usage_error(self, argv, nothing_built, capsys):
+        assert main(argv) == 1
+        assert "above the limit of 64" in capsys.readouterr().err
+
+    def test_largest_accepted_sizes(self):
+        assert parse_args(["generators", "--n", "64"]).params.n == 64
+        assert parse_args(["spin", "--s", "31.5", "--direction", "0,0,1"]).params.s == 31.5
+        cfg = parse_args(["compose", "--s1", "3.5", "--s2", "3.5", "--direction",
+                          "0,0,1", "--basis", "product"])
+        assert cfg.params.s2 == 3.5
+
+    @pytest.mark.parametrize("argv", [
+        ["generators", "--n", "65"],
+        ["measure", "--s", "32", "--direction", "0,0,1", "--state", "psi.json",
+         "--samples", "10"],
+    ])
+    def test_oversized_child_exits_1_quickly(self, argv, tmp_path):
+        result = run_cli(argv, tmp_path, timeout=30)
+        assert result.returncode == 1
+        assert "above the limit of 64" in result.stderr

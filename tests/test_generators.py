@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import pure_state_from_direction
 from blochx.generators import build_generators, expand_on_generators, scale_constant
 from blochx.linalg import eigh
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
+from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian, random_unitary
 
 
 class TestBuildGenerators:
@@ -65,6 +66,10 @@ class TestBuildGenerators:
         with pytest.raises(ValueError, match="unitary"):
             build_generators(2, basis=np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_rejects_basis_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="does not match"):
+            build_generators(3, basis=np.eye(2))
+
     def test_custom_basis_keeps_invariants(self):
         rng = np.random.default_rng(23)
         basis = eigh(random_hermitian(4, rng)).eigenvectors
@@ -106,3 +111,30 @@ class TestExpandOnGenerators:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             expand_on_generators(np.eye(3), build_generators(2))
+
+
+class TestLazyStack:
+    def test_length_and_maps_do_not_build_the_stack(self):
+        g = build_generators(12)
+        assert len(g) == 143
+        expand_on_generators(np.eye(12), g)
+        assert "matrices" not in g.__dict__
+
+    def test_indexing_builds_the_stack_once(self):
+        g = build_generators(3)
+        first = g[0]
+        assert "matrices" in g.__dict__
+        assert g.matrices is g.matrices
+        assert np.array_equal(first, g.matrices[0])
+        assert len(list(g)) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_expansion_matches_the_dense_stack(n, custom, seed):
+    rng = np.random.default_rng(seed)
+    g = build_generators(n, basis=random_unitary(n, rng) if custom else None)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coeff, coords = expand_on_generators(a, g)
+    assert coeff == complex(np.trace(a)) / n
+    assert np.max(np.abs(coords - np.einsum("kij,ji->k", g.matrices, a) / 2.0)) <= 1e-14

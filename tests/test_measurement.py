@@ -5,7 +5,9 @@ import pytest
 
 from blochx.bloch import (BlochVector, DensityState, pure_state_from_direction,
                           random_density, random_ket, state_to_bloch)
+from blochx import measurement
 from blochx.generators import build_generators
+from blochx.linalg import ValidationError
 from blochx.measurement import (OnSimplexState,
                                 approach_trajectory, barycentric_stream,
                                 born_probabilities, draw_disintegration_point,
@@ -76,6 +78,28 @@ class TestSimplexFromObservable:
         up = DensityState(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="orthonormal"):
             simplex_from_observable(([up, up], [0.0, 1.0]), g)
+
+    def test_validation_failures_have_their_own_type(self, monkeypatch):
+        g = build_generators(2)
+        up = DensityState(np.diag([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="orthonormal"):
+            simplex_from_observable(([up, up], [0.0, 1.0]), g)
+        obs = spin_along(build_spin_system(0.5), X3)
+
+        def shifted(shift):
+            def to_bloch(d, g):
+                r = state_to_bloch(d, g)
+                return BlochVector(r.dim_n, (r.coords + shift) / np.sqrt(1.0 + shift @ shift))
+            return to_bloch
+
+        # a shift along x, orthogonal to both z-axis vertices, moves the dot
+        # products by about 1e-12 (within tolerance) but the centroid by 2e-6
+        monkeypatch.setattr(measurement, "state_to_bloch", shifted(np.array([1e-6, 0.0, 0.0])))
+        with pytest.raises(ValidationError, match="centroid"):
+            simplex_from_observable(obs, g)
+        monkeypatch.setattr(measurement, "state_to_bloch", shifted(np.array([0.1, 0.0, 0.0])))
+        with pytest.raises(ValidationError, match="regular simplex"):
+            simplex_from_observable(obs, g)
 
 
 class TestProjectOntoSimplex:

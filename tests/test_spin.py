@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from blochx.bloch import pure_state_from_direction
+from blochx.linalg import ValidationError
 from blochx.spin import (Direction3, X1, X3, build_spin_system,
                          classical_resultant_range, cone_parameters,
                          cone_projection_range, spin_along)
@@ -102,6 +105,12 @@ class TestSpinAlong:
             n = Direction3.normalized(rng.standard_normal(3))
             values = np.linalg.eigvalsh(sys_.component_along(n))
             assert np.max(np.abs(values - mu)) < 1e-10
+
+    def test_spectrum_off_the_grid_is_a_validation_error(self):
+        sys_ = build_spin_system(1.0)
+        stretched = dataclasses.replace(sys_, s3=1.5 * sys_.s3)
+        with pytest.raises(ValidationError, match="spectrum deviates"):
+            spin_along(stretched, X3)
 
     def test_eigenstates_resolve_identity(self):
         obs = spin_along(build_spin_system(1.0), Direction3.from_angles(1.0, 0.5))

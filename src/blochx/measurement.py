@@ -35,6 +35,7 @@ NEGATIVE_WEIGHT_ATOL = 1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
 
 _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter step
+_CHUNK_SAMPLES = 8192  # draws per window of run_measurement's stream; 32k ran slower at N=16
 
 ObservableLike = Union[SpinObservable, tuple]
 
@@ -249,6 +250,43 @@ def _winning_vertices(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return ratios.argmin(axis=1)
 
 
+def _count_vertex_wins(n: int, seed: int, samples: int,
+                      weights: np.ndarray) -> np.ndarray:
+    """Per-vertex win counts of samples ``[0, samples)``: the counts of
+    ``_winning_vertices(barycentric_stream(n, seed, 0, samples), weights)``,
+    read from one pass over the stream in windows of ``_CHUNK_SAMPLES``
+    draws, so memory does not grow with ``samples``.
+
+    Rows are not normalized, since rescaling a row leaves the minimizer of
+    lambda_j / w_j where it was.  With x_j = log1p(-u_j) = -e_j the
+    minimizer of e_j / w_j is the first maximizer of x_j / w_j; the strict
+    comparison keeps ties at the lowest index.
+    """
+    positive = np.flatnonzero(weights > 0.0)
+    w = weights[positive][:, None]
+    stream = np.random.Generator(np.random.Philox(key=seed, counter=0))
+    u = np.empty((min(_CHUNK_SAMPLES, samples),
+                  _blocks_per_sample(n) * _DOUBLES_PER_BLOCK))
+    wins = np.zeros(len(positive), dtype=np.intp)
+    for start in range(0, samples, len(u)):
+        window = u[:samples - start]
+        stream.random(out=window)
+        x = np.ascontiguousarray(window.T[positive])
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        x /= w
+        best = x[0]
+        winner = np.zeros(len(window), dtype=np.intp)
+        for j in range(1, len(positive)):
+            better = x[j] > best
+            winner[better] = j
+            np.maximum(best, x[j], out=best)
+        wins += np.bincount(winner, minlength=len(positive))
+    counts = np.zeros(n, dtype=np.intp)
+    counts[positive] = wins
+    return counts
+
+
 def lueders_post_state(psi: DensityState, group: Sequence[int],
                        projectors: np.ndarray) -> DensityState:
     """Post-state of a (possibly degenerate) outcome: the state projected
@@ -301,6 +339,12 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     reproducible sample-by-sample.  Reports per-outcome probabilities,
     empirical frequencies, binomial standard errors, the largest absolute
     deviation, and the first ``record_count`` full records.
+
+    Outcomes are counted in fixed windows of the stream, read in order, and
+    no disintegration point is kept: memory does not grow with ``samples``,
+    and the counts do not depend on the window size.  Only the recorded
+    samples have their points drawn again as barycentric rows, so each
+    record's ``lambda_`` is a row of a ``(record_count, N)`` array.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -315,19 +359,20 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     on = project_onto_simplex(r, m)
     weights = _sanitize_weights(on.weights)
 
-    lam = barycentric_stream(m.dim_n, seed, 0, samples)
-    vertex_wins = _winning_vertices(lam, weights)
-    group_wins = m.vertex_group[vertex_wins]
+    vertex_counts = _count_vertex_wins(m.dim_n, seed, samples, weights)
+    counts = np.zeros(m.n_outcomes, dtype=np.intp)
+    np.add.at(counts, m.vertex_group, vertex_counts)
 
     born = np.array([weights[list(grp)].sum() for grp in m.degeneracy_groups])
-    counts = np.bincount(group_wins, minlength=m.n_outcomes)
     empirical = counts / samples
     std_errors = np.sqrt(born * (1.0 - born) / samples)
     max_dev = float(np.max(np.abs(empirical - born)))
 
+    lam = barycentric_stream(m.dim_n, seed, 0, min(max(record_count, 0), samples))
+    group_wins = m.vertex_group[_winning_vertices(lam, weights)]
     post_cache: dict[int, DensityState] = {}
     records = []
-    for i in range(min(record_count, samples)):
+    for i in range(len(lam)):
         gi = int(group_wins[i])
         if gi not in post_cache:
             post_cache[gi] = _post_state(m, gi, psi)

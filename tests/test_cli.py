@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,32 @@ class TestMeasure:
         b = json.loads(out_b.read_text())
         assert a["empirical"] == b["empirical"]
         assert b["seed"] == 7
+
+
+    def test_ten_million_samples_stay_small(self, tmp_path, psi_file):
+        out = tmp_path / "rep.json"
+        with open(tmp_path / "stderr.txt", "w") as err:
+            child = subprocess.Popen([sys.executable, "-m", "blochx", "measure",
+                                      "--s", "0.5", "--direction", "0,0,1",
+                                      "--state", str(psi_file),
+                                      "--samples", "10000000", "--seed", "5",
+                                      "--out", str(out)],
+                                     cwd=tmp_path, env=child_env(),
+                                     stdout=subprocess.DEVNULL, stderr=err)
+            deadline = time.monotonic() + 120
+            while True:
+                pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+                if pid or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        if not pid:
+            child.kill()
+            child.wait()
+            pytest.fail("measure --samples 10000000 did not finish in 120 s")
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
+        assert sum(json.loads(out.read_text())["counts"]) == 10_000_000
+        assert usage.ru_maxrss < 200 * 1024     # kilobytes on Linux
 
 
 class TestCompose:

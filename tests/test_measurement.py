@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import (BlochVector, DensityState, pure_state_from_direction,
                           random_density, random_ket, state_to_bloch)
-from blochx import measurement
+from blochx import composite, measurement
 from blochx.generators import build_generators
 from blochx.linalg import ValidationError
 from blochx.measurement import (OnSimplexState,
@@ -427,3 +429,114 @@ class TestRunMeasurement:
         psi = pure_state_from_direction(0.3, 0.0)
         with pytest.raises(ValueError, match="sample"):
             run_measurement(psi, obs, samples=0, seed=1)
+
+
+CHUNK = measurement._CHUNK_SAMPLES
+
+
+def stream_counts(stats, seed):
+    """The counts of the whole-array path: every point drawn at once,
+    normalized, and classified by ``_winning_vertices``."""
+    m = stats.simplex
+    lam = barycentric_stream(m.dim_n, seed, 0, stats.samples)
+    vertex_counts = np.bincount(measurement._winning_vertices(lam, stats.vertex_weights),
+                                minlength=m.dim_n)
+    return np.bincount(m.vertex_group, weights=vertex_counts,
+                       minlength=m.n_outcomes).astype(np.int64)
+
+
+def sampled_state(kind, m, rng):
+    """A state whose simplex weights are random, zero off a random subset of
+    vertices (an eigenstate when the subset has one member), or uniform."""
+    n = m.dim_n
+    if kind == "random":
+        return random_density(n, rng)
+    if kind == "uniform":
+        return DensityState(np.eye(n) / n)
+    support = rng.permutation(n)[:rng.integers(1, n)]
+    return DensityState(m.projectors[support].sum(axis=0) / len(support))
+
+
+def coupled_half_half():
+    pair = composite.build_composite(0.5, 0.5)
+    g = build_generators(pair.dim)
+    m = simplex_from_observable(
+        composite.coupled_basis(pair, Direction3.from_angles(1.3, 0.4)).eigensystem(), g)
+    return m, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 16), kind=st.sampled_from(["random", "zeros", "uniform"]),
+       samples=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]),
+       seed=st.integers(0, 2 ** 62))
+def test_counts_match_the_whole_array_path(n, kind, samples, seed):
+    rng = np.random.default_rng(seed)
+    g = build_generators(n)
+    states, values = random_observable_frame(n, rng)
+    m = simplex_from_observable((states, values), g)
+    stats = run_measurement(sampled_state(kind, m, rng), m, samples, seed, generators=g)
+    assert np.array_equal(stats.counts, stream_counts(stats, seed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["random", "zeros", "uniform"]),
+       samples=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]),
+       seed=st.integers(0, 2 ** 62))
+def test_degenerate_coupled_counts_match_the_whole_array_path(kind, samples, seed):
+    m, g = coupled_half_half()
+    assert m.n_outcomes == 3
+    psi = sampled_state(kind, m, np.random.default_rng(seed))
+    stats = run_measurement(psi, m, samples, seed, generators=g)
+    assert np.array_equal(stats.counts, stream_counts(stats, seed))
+
+
+@pytest.mark.parametrize("n", (2, 5, 16))
+def test_counts_do_not_depend_on_the_chunk_size(n, monkeypatch):
+    rng = np.random.default_rng(200 + n)
+    g = build_generators(n)
+    m = simplex_from_observable(random_observable_frame(n, rng), g)
+    psi = random_density(n, rng)
+    runs = []
+    for chunk in (1, 7, 8192):
+        monkeypatch.setattr(measurement, "_CHUNK_SAMPLES", chunk)
+        runs.append(run_measurement(psi, m, 2 * 8192 + 3, 61, generators=g))
+    for stats in runs[1:]:
+        assert np.array_equal(stats.counts, runs[0].counts)
+        for rec, first in zip(stats.records_sample, runs[0].records_sample):
+            assert np.array_equal(rec.lambda_, first.lambda_)
+            assert rec.outcome_index == first.outcome_index
+    assert np.array_equal(runs[0].counts, stream_counts(runs[0], 61))
+
+
+def test_records_do_not_keep_the_sample_array():
+    m, g = spin_simplex(0.5)
+    psi = pure_state_from_direction(1.0, 0.0)
+    stats = run_measurement(psi, m, 1_000_000, 67, generators=g, record_count=10)
+    assert len(stats.records_sample) == 10
+    for rec in stats.records_sample:
+        assert rec.lambda_.base is None or rec.lambda_.base.nbytes <= 10 * 2 * 8
+
+
+def traced_peak(psi, m, g, samples):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_measurement(psi, m, samples, 71, generators=g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s,samples", ((0.5, 2_000_000), (7.5, 200_000)))
+def test_sampler_memory_is_bounded(s, samples):
+    m, g = spin_simplex(s)
+    psi = random_density(m.dim_n, np.random.default_rng(73))
+    assert traced_peak(psi, m, g, samples) < 8 * 2 ** 20
+
+
+def test_sampler_memory_is_flat_in_the_sample_count():
+    m, g = spin_simplex(0.5)
+    psi = pure_state_from_direction(0.9, 0.3)
+    small = traced_peak(psi, m, g, 200_000)
+    large = traced_peak(psi, m, g, 2_000_000)
+    assert large <= 1.5 * small

@@ -258,7 +258,7 @@ def _cmd_generators(cfg: RunConfig) -> int:
         "n": n,
         "c": g.c,
         "count": len(g),
-        "generators": [serialize.matrix_to_json(m) for m in g],
+        "generators": g.matrices,
     }, cfg)
     return 0
 
@@ -301,7 +301,7 @@ def _cmd_bloch(cfg: RunConfig) -> int:
         "command": "bloch",
         "kind": "state",
         "n": n,
-        "matrix": serialize.matrix_to_json(operator),
+        "matrix": operator,
         "is_state": ok,
         "min_eigenvalue": smallest,
     }, cfg)
@@ -317,9 +317,9 @@ def _cmd_spin(cfg: RunConfig) -> int:
         "s": sys_.s,
         "n": sys_.dim,
         "direction": list(args.direction.components),
-        "matrix": serialize.matrix_to_json(obs.matrix),
+        "matrix": obs.matrix,
         "eigenvalues": list(obs.eigenvalues),
-        "eigenstates": [serialize.matrix_to_json(p.matrix) for p in obs.eigenstates],
+        "eigenstates": [p.matrix for p in obs.eigenstates],
     }, cfg)
     return 0
 
@@ -371,7 +371,7 @@ def _cmd_measure(cfg: RunConfig) -> int:
         "records_sample": [{
             "lambda": list(rec.lambda_),
             "outcome_index": rec.outcome_index,
-            "post_state": serialize.matrix_to_json(rec.post_state.matrix),
+            "post_state": rec.post_state.matrix,
         } for rec in stats.records_sample],
         "trajectory_csv": trajectory_csv,
     }, cfg)
@@ -385,13 +385,13 @@ def _cmd_compose(cfg: RunConfig) -> int:
         entries = [{
             "s": e.s,
             "mu_s": e.mu,
-            "amplitudes": serialize.complex_vector_to_json(e.state.amplitudes),
+            "amplitudes": e.state.amplitudes,
         } for e in coupled_basis(comp, args.direction).entries]
     else:
         entries = [{
             "mu1": e.mu1,
             "mu2": e.mu2,
-            "amplitudes": serialize.complex_vector_to_json(e.state.amplitudes),
+            "amplitudes": e.state.amplitudes,
         } for e in product_basis(comp, args.direction).entries]
     emit_report({
         "command": "compose",

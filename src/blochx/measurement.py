@@ -113,7 +113,8 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     ``obs`` is either a :class:`SpinObservable` or an
     ``(eigenstates, eigenvalues)`` pair where the eigenstates are rank-1
-    :class:`DensityState` projectors forming an orthonormal family.
+    :class:`DensityState` projectors forming an orthonormal family; they
+    are used as given, and any other type raises TypeError.
     Vertices are stored sorted by eigenvalue ascending (stable).
     """
     if isinstance(obs, SpinObservable):
@@ -127,15 +128,16 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     order = np.argsort(values, kind="stable")
     values = values[order]
-    projectors = np.stack([states[i].matrix for i in order])
+    states = [states[i] for i in order]
+    if not all(isinstance(state, DensityState) for state in states):
+        raise TypeError("eigenstates must be DensityState projectors")
+    projectors = np.stack([state.matrix for state in states])
 
     gram = np.einsum("aij,bji->ab", projectors, projectors)
     if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_ATOL:
         raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
-    vertices = np.stack([
-        state_to_bloch(DensityState(projectors[i]), g).coords for i in range(n)
-    ])
+    vertices = np.stack([state_to_bloch(state, g).coords for state in states])
     dots = vertices @ vertices.T
     expected = -np.ones((n, n)) / (n - 1) + (1.0 + 1.0 / (n - 1)) * np.eye(n)
     if np.max(np.abs(dots - expected)) > VERTEX_GEOMETRY_ATOL:
@@ -365,7 +367,9 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
 
     born = np.array([weights[list(grp)].sum() for grp in m.degeneracy_groups])
     empirical = counts / samples
-    std_errors = np.sqrt(born * (1.0 - born) / samples)
+    # an eigenstate's group weight can round to just above 1, where the
+    # binomial variance would be a tiny negative number
+    std_errors = np.sqrt(np.maximum(born * (1.0 - born), 0.0) / samples)
     max_dev = float(np.max(np.abs(empirical - born)))
 
     lam = barycentric_stream(m.dim_n, seed, 0, min(max(record_count, 0), samples))

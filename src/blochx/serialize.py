@@ -1,6 +1,11 @@
 """JSON helpers: complex numbers as [re, im] pairs, matrices as row-major
 nested arrays, and a deterministic pretty-printer emitting floats with 17
-significant digits."""
+significant digits.
+
+``dumps`` takes complex ndarrays as they are: a vector, a matrix or a stack
+of matrices is written as its nested [re, im] lists, byte for byte what
+``dumps`` writes for ``matrix_to_json`` of each matrix, in one vectorized
+pass per matrix that formats each distinct float once."""
 from __future__ import annotations
 
 import json
@@ -29,10 +34,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return m
 
 
-def complex_vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
 def _format_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -46,6 +47,33 @@ def _format_number(x) -> str:
 
 def _is_number(x) -> bool:
     return isinstance(x, (bool, int, float, np.integer, np.floating))
+
+
+def _nested_text(cells, level: int) -> str:
+    """Nested lists of already written [re, im] cells, laid out as _emit
+    lays out lists that are not all numbers."""
+    if not cells:
+        return "[]"
+    if not isinstance(cells[0], str):
+        cells = [_nested_text(row, level + 1) for row in cells]
+    inner = "  " * (level + 1)
+    return "[\n" + inner + (",\n" + inner).join(cells) + "\n" + "  " * level + "]"
+
+
+def _complex_text(a: np.ndarray, level: int) -> str:
+    """A complex vector or matrix as nested [re, im] lists."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64).ravel()
+    finite = np.isfinite(parts)
+    if not finite.all():
+        _format_number(parts[np.argmin(finite)])  # raises for the first one
+    # distinct bit patterns, not values, so that -0.0 stays "-0"
+    floats, ids = np.unique(parts.view(np.int64), return_inverse=True)
+    text = [format(x, ".17g") for x in floats.view(np.float64).tolist()]
+    # each distinct [re, im] cell is written once too
+    pairs, ids = np.unique(ids[0::2] * len(floats) + ids[1::2], return_inverse=True)
+    cells = np.array([f"[{text[p // len(floats)]}, {text[p % len(floats)]}]"
+                      for p in pairs.tolist()], dtype=object)
+    return _nested_text(cells[ids].reshape(a.shape).tolist(), level)
 
 
 def _emit(obj, level: int, pieces: list[str]) -> None:
@@ -81,6 +109,11 @@ def _emit(obj, level: int, pieces: list[str]) -> None:
         pieces.append("null")
     elif _is_number(obj):
         pieces.append(_format_number(obj))
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj) and obj.ndim:
+        if obj.ndim > 2:
+            _emit(list(obj), level, pieces)  # one matrix at a time
+        else:
+            pieces.append(_complex_text(obj, level))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), level, pieces)
     else:
@@ -89,7 +122,8 @@ def _emit(obj, level: int, pieces: list[str]) -> None:
 
 def dumps(obj) -> str:
     """Deterministic pretty-printed JSON: insertion-ordered keys, 2-space
-    indent, number-only lists inlined, floats at 17 significant digits."""
+    indent, number-only lists inlined, floats at 17 significant digits,
+    complex ndarrays as nested [re, im] pairs."""
     pieces: list[str] = []
     _emit(obj, 0, pieces)
     return "".join(pieces)

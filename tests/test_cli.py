@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import blochx
-from blochx import cli, spin
+from blochx import cli, serialize, spin
 from blochx.bloch import pure_state_from_direction
 from blochx.cli import main, parse_args
 from blochx.linalg import ValidationError
 from blochx.serialize import dumps, matrix_from_json, matrix_to_json
+from conftest import nested_lists
 
 
 SRC_ROOT = Path(blochx.__file__).resolve().parents[1]
@@ -221,6 +222,22 @@ class TestMeasure:
         assert sum(json.loads(out.read_text())["counts"]) == 10_000_000
         assert usage.ru_maxrss < 200 * 1024     # kilobytes on Linux
 
+    def test_eigenstate_input_has_finite_std_errors(self, tmp_path):
+        # the group weight of this eigenstate, read back from its state
+        # file, rounds to just above 1
+        direction = "0.6313762241158432,0.12798629680985413,0.7648421872844885"
+        obs = spin.spin_along(spin.build_spin_system(1.5),
+                              cli._parse_direction_flag(direction))
+        state = tmp_path / "eigenstate.json"
+        write_state(state, obs.eigenstates[0].matrix)
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--s", "1.5", "--direction=" + direction,
+                     "--state", str(state), "--samples", "1000",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["born"][0] > 1
+        assert report["std_errors"] == [0, 0, 0, 0]
+
 
 class TestCompose:
     def test_coupled_basis_report(self, tmp_path):
@@ -239,6 +256,36 @@ class TestCompose:
         report = json.loads(result.stdout)
         assert len(report["entries"]) == 6
         assert {"mu1", "mu2", "amplitudes"} <= set(report["entries"][0])
+
+
+class TestArrayReports:
+    """The CLI hands complex arrays to the serializer; each report must be
+    byte for byte what the nested [re, im] lists of matrix_to_json give."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generators", "--n", "16"],
+        ["spin", "--s", "3.5", "--direction=0.3,-0.4,0.5"],
+        ["measure", "--s", "0.5", "--direction", "0.6,0,0.8", "--state", "PSI",
+         "--samples", "1000", "--seed", "3"],
+        ["bloch", "--state", "COORDS", "--to-matrix"],
+        ["compose", "--s1", "1.5", "--s2", "1", "--direction=0.2,0.3,-0.9",
+         "--basis", "coupled"],
+        ["compose", "--s1", "0.5", "--s2", "1", "--direction=1,0,0",
+         "--basis", "product"],
+    ], ids=["generators", "spin", "measure", "bloch", "compose-coupled",
+            "compose-product"])
+    def test_report_matches_the_nested_list_path(self, argv, tmp_path, psi_file,
+                                                  monkeypatch, capsys):
+        coords = tmp_path / "coords.json"
+        coords.write_text(json.dumps({"n": 3, "coords": [0.1, -0.2, 0.0, 0.05,
+                                                         -0.0, 0.1, 0.2, -0.1]}))
+        files = {"PSI": str(psi_file), "COORDS": str(coords)}
+        bodies = []
+        monkeypatch.setattr(serialize, "dumps",
+                            lambda body: bodies.append(body) or dumps(body))
+        assert main([files.get(a, a) for a in argv]) == 0
+        assert len(bodies) == 1
+        assert capsys.readouterr().out == dumps(nested_lists(bodies[0])) + "\n"
 
 
 class TestVerify:

@@ -75,6 +75,30 @@ class TestSimplexFromObservable:
         assert m.degeneracy_groups == ((0, 1), (2,))
         assert list(m.vertex_group) == [0, 0, 1]
 
+    @pytest.mark.parametrize("frame", ["random", "spin"])
+    def test_given_projectors_are_used_as_they_are(self, frame, monkeypatch):
+        g = build_generators(5)
+        if frame == "random":
+            obs = random_observable_frame(5, np.random.default_rng(11))
+        else:
+            obs = spin_along(build_spin_system(2.0), Direction3.from_angles(0.7, 0.2))
+        built = []
+        post_init = DensityState.__post_init__
+        monkeypatch.setattr(DensityState, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        m = simplex_from_observable(obs, g)
+        assert built == []
+        monkeypatch.undo()
+        rewrapped = np.stack([state_to_bloch(DensityState(p), g).coords
+                              for p in m.projectors])
+        assert np.array_equal(m.vertices, rewrapped)
+
+    def test_rejects_eigenstates_that_are_not_density_states(self):
+        g = build_generators(2)
+        with pytest.raises(TypeError, match="DensityState"):
+            simplex_from_observable(([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                                     [0.0, 1.0]), g)
+
     def test_rejects_non_orthonormal_family(self):
         g = build_generators(2)
         up = DensityState(np.diag([1.0, 0.0]))

@@ -25,20 +25,32 @@ PURITY_RANK1_ATOL = 1e-9
 @dataclass(frozen=True)
 class DensityState:
     """A validated operator-state: Hermitian within 1e-12, unit trace
-    within 1e-12, smallest eigenvalue >= -1e-10."""
+    within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_rank1(v)``
+    (v v† of a unit ket) and ``_psd(m)`` build states from matrices the
+    library made positive semidefinite, and skip only the last check."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_square_matrix(self.matrix)
-        if not is_hermitian(m):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m) - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {np.trace(m):.15g} is not 1")
+        m = self._psd(as_square_matrix(self.matrix)).matrix
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest < -POSITIVITY_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _psd(cls, m: np.ndarray) -> DensityState:
+        if not is_hermitian(m):
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+        if abs(np.trace(m) - 1.0) > TRACE_ATOL:
+            raise ValueError(f"density matrix trace {np.trace(m):.15g} is not 1")
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        return state
+
+    @classmethod
+    def _rank1(cls, v: np.ndarray) -> DensityState:
+        return cls._psd(np.outer(v, v.conj()))
 
     @property
     def dim(self) -> int:
@@ -86,7 +98,7 @@ class PureState:
         return self.amplitudes.shape[0]
 
     def projector(self) -> DensityState:
-        return DensityState(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityState._rank1(self.amplitudes)
 
 
 def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:

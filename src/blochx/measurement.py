@@ -65,9 +65,6 @@ class MeasurementSimplex:
     def outcome_eigenvalues(self) -> np.ndarray:
         return np.array([self.eigenvalues[g[0]] for g in self.degeneracy_groups])
 
-    def group_projector(self, group_index: int) -> np.ndarray:
-        return self.projectors[list(self.degeneracy_groups[group_index])].sum(axis=0)
-
 
 @dataclass(frozen=True)
 class OnSimplexState:
@@ -305,7 +302,8 @@ def _post_state(m: MeasurementSimplex, group_index: int,
                 psi: Optional[DensityState]) -> DensityState:
     group = m.degeneracy_groups[group_index]
     if len(group) == 1:
-        return DensityState(m.projectors[group[0]])
+        # simplex_from_observable took this projector as a validated DensityState
+        return DensityState._psd(m.projectors[group[0]])
     if psi is None:
         raise ValueError("degenerate outcome requires the pre-measurement state "
                          "to form its post-state")

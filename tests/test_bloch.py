@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,11 @@ from blochx.correspondence import (space_vector_composite, space_vector_single,
                                    v_overlap_with_extremal)
 from blochx.composite import build_composite
 from blochx.generators import build_generators
-from blochx.linalg import ValidationError
-from blochx.measurement import run_measurement, simplex_from_observable
-from blochx.spin import X1, X3, build_spin_system, spin_along
-from conftest import random_unitary
+from blochx.linalg import ValidationError, eigh
+from blochx.measurement import (lueders_post_state, run_measurement,
+                                simplex_from_observable)
+from blochx.spin import X1, X3, Direction3, build_spin_system, spin_along
+from conftest import random_hermitian, random_unitary
 
 
 def unit_vector(n, index):
@@ -267,3 +270,77 @@ def test_n36_paths_never_build_the_stack():
     w = space_vector_composite(pair, X1, "product", g)
     assert np.linalg.norm(u.coords - w.coords) < 1e-10
     assert "matrices" not in g.__dict__
+
+
+def _random_ket(n, rng, strided):
+    """A unit ket: a Haar-random vector, or an eigenvector column read
+    with a stride as ``spin_along`` reads it."""
+    if strided:
+        return eigh(random_hermitian(n, rng)).column(int(rng.integers(n)))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _eigvalsh_spy():
+    return mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank1_matches_the_validated_projector(n, strided, seed):
+    v = _random_ket(n, np.random.default_rng(seed), strided)
+    trusted = DensityState._rank1(v).matrix
+    validated = DensityState(np.outer(v, v.conj())).matrix
+    assert trusted.dtype == validated.dtype and trusted.shape == validated.shape
+    assert trusted.tobytes() == validated.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 64), factor=st.sampled_from([0.5, 0.999, 1.001, 2.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rank1_rejects_a_non_unit_ket(n, factor, seed):
+    v = factor * _random_ket(n, np.random.default_rng(seed), False)
+    with pytest.raises(ValueError, match="density matrix trace .* is not 1"):
+        DensityState._rank1(v)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_single_spin_paths_skip_the_eigenvalue_check(n, seed):
+    rng = np.random.default_rng(seed)
+    sys_ = build_spin_system((n - 1) / 2)
+    g = build_generators(n)
+    direction = Direction3.normalized(rng.standard_normal(3))
+    psi = random_density(n, rng)
+    with _eigvalsh_spy() as spy:
+        space_vector_single(sys_, direction, g)
+        m = simplex_from_observable(spin_along(sys_, direction), g)
+        stats = run_measurement(psi, m, 200, seed, g)
+    assert spy.call_count == 0
+    for record in stats.records_sample:
+        vertex = m.degeneracy_groups[record.outcome_index][0]
+        assert record.post_state.matrix.tobytes() == m.projectors[vertex].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(two_s1=st.integers(1, 7), two_s2=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_composite_paths_skip_the_eigenvalue_check(two_s1, two_s2, seed):
+    c = build_composite(two_s1 / 2, two_s2 / 2)
+    g = build_generators(c.dim)
+    direction = Direction3.normalized(np.random.default_rng(seed).standard_normal(3))
+    with _eigvalsh_spy() as spy:
+        space_vector_composite(c, direction, "coupled", g)
+        space_vector_composite(c, direction, "product", g)
+    assert spy.call_count == 0
+
+
+def test_user_facing_constructors_check_the_eigenvalues():
+    rng = np.random.default_rng(6)
+    m = simplex_from_observable(spin_along(build_spin_system(1.0), X3), build_generators(3))
+    psi = random_density(3, rng)
+    for make in (lambda: random_density(4, rng),
+                 lambda: pure_state_from_direction(0.4, 1.1),
+                 lambda: lueders_post_state(psi, [0, 1], m.projectors)):
+        with _eigvalsh_spy() as spy:
+            make()
+        assert spy.call_count >= 1

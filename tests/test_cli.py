@@ -355,6 +355,19 @@ class TestErrors:
         assert result.returncode == 1
         assert "does not match" in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["bloch", "--state", "STATE", "--to-vector"],
+        ["measure", "--s", "0.5", "--direction", "0,0,1", "--state", "STATE",
+         "--samples", "10"],
+    ])
+    def test_state_with_negative_eigenvalue(self, argv, tmp_path):
+        # Hermitian with unit trace, so only the eigenvalue check can refuse it
+        state = tmp_path / "negative.json"
+        write_state(state, np.diag([1.5, -0.5]).astype(complex))
+        result = run_cli([str(state) if a == "STATE" else a for a in argv], tmp_path)
+        assert result.returncode == 1
+        assert "negative eigenvalue" in result.stderr
+
     def test_help_exits_zero(self, tmp_path):
         result = run_cli(["--help"], tmp_path)
         assert result.returncode == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from blochx.bloch import (BlochVector, DensityState, PureState,
                           bloch_to_operator, is_state, projector_to_ket,
                           pure_state_from_direction, purity, random_density,
-                          state_to_bloch)
+                          random_ket, state_to_bloch)
 from blochx.correspondence import (space_vector_composite, space_vector_single,
                                    v_overlap_with_extremal)
 from blochx.composite import build_composite
@@ -277,8 +277,7 @@ def _random_ket(n, rng, strided):
     with a stride as ``spin_along`` reads it."""
     if strided:
         return eigh(random_hermitian(n, rng)).column(int(rng.integers(n)))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    return random_ket(n, rng).amplitudes
 
 
 def _eigvalsh_spy():

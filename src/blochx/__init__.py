@@ -16,8 +16,7 @@ from .correspondence import (SpaceVector, direction_scale_composite,
                              space_vector_single, v_overlap_with_extremal,
                              verify_isomorphism)
 from .generators import GeneratorSet, build_generators, expand_on_generators, scale_constant
-from .linalg import (HermitianEigenSystem, ValidationError, degeneracy_groups, eigh,
-                     kron, matmul, trace)
+from .linalg import ValidationError, degeneracy_groups, eigh
 from .measurement import (MeasurementRecord, MeasurementSimplex,
                           MeasurementStatistics, OnSimplexState,
                           approach_trajectory, barycentric_stream,
@@ -41,8 +40,7 @@ __all__ = [
     "eigenstate_projections", "isomorphism_sweep", "space_vector_composite",
     "space_vector_single", "v_overlap_with_extremal", "verify_isomorphism",
     "GeneratorSet", "build_generators", "expand_on_generators", "scale_constant",
-    "HermitianEigenSystem", "ValidationError", "degeneracy_groups", "eigh", "kron",
-    "matmul", "trace",
+    "ValidationError", "degeneracy_groups", "eigh",
     "MeasurementRecord", "MeasurementSimplex", "MeasurementStatistics",
     "OnSimplexState", "approach_trajectory", "barycentric_stream",
     "born_probabilities", "draw_disintegration_point", "lueders_post_state",

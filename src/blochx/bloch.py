@@ -69,7 +69,7 @@ class BlochVector:
         expected = self.dim_n * self.dim_n - 1
         if c.shape != (expected,):
             raise ValueError(f"expected {expected} coordinates for N={self.dim_n}, got shape {c.shape}")
-        if np.linalg.norm(c) > 1.0 + NORM_ATOL:
+        if not np.linalg.norm(c) <= 1.0 + NORM_ATOL:
             raise ValueError(f"coordinate norm {np.linalg.norm(c):.15g} exceeds 1")
         object.__setattr__(self, "coords", c)
 
@@ -89,7 +89,7 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.ndim != 1:
             raise ValueError(f"expected a vector of amplitudes, got shape {a.shape}")
-        if abs(np.linalg.norm(a) - 1.0) > TRACE_ATOL:
+        if not abs(np.linalg.norm(a) - 1.0) <= TRACE_ATOL:
             raise ValueError(f"amplitude norm {np.linalg.norm(a):.15g} is not 1")
         object.__setattr__(self, "amplitudes", fix_phase(a))
 

@@ -4,20 +4,20 @@ Every subcommand writes one deterministic pretty-printed JSON report
 (stdout by default, or the file named by its output flag) carrying
 ``"blochx_schema": 1`` and a ``generated_at`` timestamp, the one field
 excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
-2 numerical validation failure.  Hilbert space dimensions above 64 (the
-dense generator stack and the eigenstate simplex grow as N^4 and N^3) are
-refused as usage errors before anything is built.
+2 numerical validation failure.  ``generators --n``, the spin flags and
+composites refuse Hilbert space dimensions above 64 (the dense generator
+stack and the eigenstate simplex grow as N^4 and N^3) as usage errors
+before anything is built; ``bloch --state`` files set no such limit.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -51,18 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: which subcommand, the resolved seed, where
-    the report goes, and any tolerance override."""
-
-    command: str
-    seed: int
-    output_path: Optional[str]
-    tolerance: Optional[float]
-    params: argparse.Namespace
-
-
 def _spin_dim(s: float) -> int:
     return int(round(2 * s)) + 1
 
@@ -86,6 +74,8 @@ def _parse_direction_flag(text: str) -> Direction3:
         vec = np.array([float(p) for p in parts])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three comma-separated reals, got {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"components must be finite, got {text!r}")
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         raise argparse.ArgumentTypeError("direction must be nonzero")
@@ -116,6 +106,8 @@ def _positive_int(text: str) -> int:
 
 def _dimension_flag(text: str) -> int:
     value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {value}")
     if value > MAX_DIM:
         raise argparse.ArgumentTypeError(f"dimension {value} is above the limit of {MAX_DIM}")
     return value
@@ -135,6 +127,7 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--to-vector", action="store_true", help="force matrix -> vector")
     mode.add_argument("--to-matrix", action="store_true", help="force vector -> matrix")
+    p.set_defaults(output=None)
 
     p = sub.add_parser("spin", help="emit a directional spin observable")
     p.add_argument("--s", type=_parse_spin_flag, required=True, help="spin magnitude (half-integer)")
@@ -167,15 +160,15 @@ def build_parser() -> _Parser:
     p.add_argument("--s2", type=_parse_spin_flag, default=None)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=_parse_seed_flag, default=None)
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_ISO_TOLERANCE,
                    help="override the isomorphism deviation tolerance")
     p.add_argument("--out", dest="output", default=None)
 
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Validate an argument vector into a RunConfig.
+def parse_args(argv) -> argparse.Namespace:
+    """Validate an argument vector into its flags, with ``seed`` resolved.
 
     The seed falls back to the BLOCHX_SEED environment variable and then
     to 0 when the subcommand takes one and none was given.
@@ -192,6 +185,8 @@ def parse_args(argv) -> RunConfig:
         else:
             seed = 0
     if args.command == "verify":
+        if not math.isfinite(args.tolerance):
+            raise UsageError(f"--tolerance must be finite, got {args.tolerance}")
         if args.prop == "1" and args.s is None:
             raise UsageError("--prop 1 requires --s")
         if args.prop in ("2", "2bis") and (args.s1 is None or args.s2 is None):
@@ -203,25 +198,24 @@ def parse_args(argv) -> RunConfig:
                              f"{dim}, above the limit of {MAX_DIM}")
     if args.command == "measure" and args.trajectory_steps is not None and args.output is None:
         raise UsageError("--trajectory-steps requires --out for the CSV path")
-    return RunConfig(command=args.command, seed=seed,
-                     output_path=getattr(args, "output", None),
-                     tolerance=getattr(args, "tolerance", None), params=args)
+    args.seed = seed
+    return args
 
 
-def emit_report(report: dict, cfg: RunConfig) -> None:
+def emit_report(report: dict, args: argparse.Namespace) -> None:
     """Write the report as deterministic JSON to the configured path or
     stdout; the generated_at timestamp is the only run-varying field."""
     body = {"blochx_schema": SCHEMA_VERSION,
             "generated_at": datetime.now(timezone.utc).isoformat()}
     body.update(report)
     text = serialize.dumps(body) + "\n"
-    if cfg.output_path is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
         try:
-            Path(cfg.output_path).write_text(text)
+            Path(args.output).write_text(text)
         except OSError as exc:
-            raise UsageError(f"cannot write output file {cfg.output_path}: {exc}")
+            raise UsageError(f"cannot write output file {args.output}: {exc}")
 
 
 def _load_state_json(path: str, flag: str = "--state") -> dict:
@@ -248,23 +242,19 @@ def _load_density_state(path: str, flag: str = "--state") -> DensityState:
         raise UsageError(f"{flag} file {path}: {exc}")
 
 
-def _cmd_generators(cfg: RunConfig) -> int:
-    n = cfg.params.n
-    if n < 2:
-        raise UsageError(f"--n must be at least 2, got {n}")
-    g = build_generators(n)
+def _cmd_generators(args: argparse.Namespace) -> int:
+    g = build_generators(args.n)
     emit_report({
         "command": "generators",
-        "n": n,
+        "n": args.n,
         "c": g.c,
         "count": len(g),
         "generators": g.matrices,
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_bloch(cfg: RunConfig) -> int:
-    args = cfg.params
+def _cmd_bloch(args: argparse.Namespace) -> int:
     obj = _load_state_json(args.state)
     has_matrix = "matrix" in obj
     has_coords = "coords" in obj
@@ -286,7 +276,7 @@ def _cmd_bloch(cfg: RunConfig) -> int:
             "coords": list(r.coords),
             "norm": r.norm,
             "purity": purity(r),
-        }, cfg)
+        }, args)
         return 0
 
     try:
@@ -304,12 +294,11 @@ def _cmd_bloch(cfg: RunConfig) -> int:
         "matrix": operator,
         "is_state": ok,
         "min_eigenvalue": smallest,
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_spin(cfg: RunConfig) -> int:
-    args = cfg.params
+def _cmd_spin(args: argparse.Namespace) -> int:
     sys_ = build_spin_system(args.s)
     obs = spin_along(sys_, args.direction)
     emit_report({
@@ -320,7 +309,7 @@ def _cmd_spin(cfg: RunConfig) -> int:
         "matrix": obs.matrix,
         "eigenvalues": list(obs.eigenvalues),
         "eigenstates": [p.matrix for p in obs.eigenstates],
-    }, cfg)
+    }, args)
     return 0
 
 
@@ -329,20 +318,19 @@ def _trajectory_csv_path(output_path: str) -> Path:
     return out.with_suffix(".trajectory.csv") if out.suffix else out.with_name(out.name + ".trajectory.csv")
 
 
-def _cmd_measure(cfg: RunConfig) -> int:
-    args = cfg.params
+def _cmd_measure(args: argparse.Namespace) -> int:
     sys_ = build_spin_system(args.s)
     psi = _load_density_state(args.state)
     if psi.dim != sys_.dim:
         raise UsageError(f"--state dimension {psi.dim} does not match --s {sys_.s} (N={sys_.dim})")
     g = build_generators(sys_.dim)
     obs = spin_along(sys_, args.direction)
-    stats = run_measurement(psi, obs, args.samples, cfg.seed, generators=g,
+    stats = run_measurement(psi, obs, args.samples, args.seed, generators=g,
                             trajectory_steps=args.trajectory_steps)
 
     trajectory_csv = None
     if stats.trajectory is not None:
-        path = _trajectory_csv_path(cfg.output_path)
+        path = _trajectory_csv_path(args.output)
         width = sys_.dim * sys_.dim - 1
         lines = ["tau," + ",".join(f"coord_{i}" for i in range(width))]
         for tau, point in stats.trajectory:
@@ -374,12 +362,11 @@ def _cmd_measure(cfg: RunConfig) -> int:
             "post_state": rec.post_state.matrix,
         } for rec in stats.records_sample],
         "trajectory_csv": trajectory_csv,
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_compose(cfg: RunConfig) -> int:
-    args = cfg.params
+def _cmd_compose(args: argparse.Namespace) -> int:
     comp = build_composite(args.s1, args.s2)
     if args.basis == "coupled":
         entries = [{
@@ -403,15 +390,13 @@ def _cmd_compose(cfg: RunConfig) -> int:
         "direction": list(args.direction.components),
         "basis": args.basis,
         "entries": entries,
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    args = cfg.params
-    tolerance = cfg.tolerance if cfg.tolerance is not None else DEFAULT_ISO_TOLERANCE
+def _cmd_verify(args: argparse.Namespace) -> int:
     report: dict = {"command": "verify", "prop": args.prop, "trials": args.trials,
-                    "seed": cfg.seed, "tolerance": tolerance}
+                    "seed": args.seed, "tolerance": args.tolerance}
     checks: dict = {}
 
     if args.prop == "1":
@@ -419,7 +404,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         n_dim = sys_.dim
         g = build_generators(n_dim)
         deviations = isomorphism_sweep(lambda d: space_vector_single(sys_, d, g),
-                                       args.trials, cfg.seed)
+                                       args.trials, args.seed)
         axis = Direction3(np.array([0.0, 0.0, 1.0]))
         v = space_vector_single(sys_, axis, g)
         simplex = simplex_from_observable(spin_along(sys_, axis), g)
@@ -446,7 +431,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         g = build_generators(comp.dim)
         basis = "coupled" if args.prop == "2" else "product"
         deviations = isomorphism_sweep(
-            lambda d: space_vector_composite(comp, d, basis, g), args.trials, cfg.seed)
+            lambda d: space_vector_composite(comp, d, basis, g), args.trials, args.seed)
         axis = Direction3(np.array([0.0, 0.0, 1.0]))
         v = space_vector_composite(comp, axis, "coupled", g)
         w = space_vector_composite(comp, axis, "product", g)
@@ -463,9 +448,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     report["max_deviation"] = max_dev
     report["mean_deviation"] = float(np.mean(deviations))
     report["checks"] = checks
-    passed = bool(max_dev < tolerance and extra_ok)
+    passed = bool(max_dev < args.tolerance and extra_ok)
     report["pass"] = passed
-    emit_report(report, cfg)
+    emit_report(report, args)
     return 0 if passed else 2
 
 
@@ -481,8 +466,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv if argv is not None else sys.argv[1:])
-        return _HANDLERS[cfg.command](cfg)
+        args = parse_args(argv if argv is not None else sys.argv[1:])
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,16 +38,6 @@ class CompositeSpinSystem:
         c = self.components
         return n1 * c[0] + n2 * c[1] + n3 * c[2]
 
-    def one_entity_ops(self, n: Direction3) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The four commuting one-entity operators along ``n``:
-        S_n x I, S^2 x I, I x S_n, I x S^2."""
-        i1 = np.eye(self.system1.dim, dtype=complex)
-        i2 = np.eye(self.system2.dim, dtype=complex)
-        return (np.kron(self.system1.component_along(n), i2),
-                np.kron(self.system1.s_squared, i2),
-                np.kron(i1, self.system2.component_along(n)),
-                np.kron(i1, self.system2.s_squared))
-
 
 def build_composite(s1: float, s2: float) -> CompositeSpinSystem:
     """Assemble the total spin components of two spin entities."""
@@ -77,8 +67,6 @@ class CoupledBasis:
     """Simultaneous eigenbasis of total S^2 and the total component along a
     direction, entries sorted by (s, mu)."""
 
-    system: CompositeSpinSystem
-    direction: Direction3
     entries: tuple[CoupledEntry, ...]
 
     def eigensystem(self) -> tuple[list, np.ndarray]:
@@ -100,8 +88,6 @@ class ProductBasis:
     """Tensor products of one-entity eigenstates along a direction, entries
     sorted by (mu1, mu2)."""
 
-    system: CompositeSpinSystem
-    direction: Direction3
     entries: tuple[ProductEntry, ...]
 
     def eigensystem(self) -> tuple[list, np.ndarray]:
@@ -145,7 +131,7 @@ def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
             state = PureState(fix_phase(block_vectors @ sub_es.column(j)))
             entries.append(CoupledEntry(s=s_label, mu=mu, state=state))
     entries.sort(key=lambda e: (e.s, e.mu))
-    return CoupledBasis(system=c, direction=n, entries=tuple(entries))
+    return CoupledBasis(entries=tuple(entries))
 
 
 def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
@@ -160,4 +146,4 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
             amplitudes = np.kron(kets1[i].amplitudes, kets2[j].amplitudes)
             entries.append(ProductEntry(mu1=float(mu1), mu2=float(mu2),
                                         state=PureState(amplitudes)))
-    return ProductBasis(system=c, direction=n, entries=tuple(entries))
+    return ProductBasis(entries=tuple(entries))

@@ -33,11 +33,10 @@ class SpaceVector:
     coords: np.ndarray
     scale: float
     source: str
-    direction: Direction3
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
-        if abs(np.linalg.norm(c) - 1.0) > UNIT_NORM_ATOL:
+        if not abs(np.linalg.norm(c) - 1.0) <= UNIT_NORM_ATOL:
             raise ValueError(f"space vector norm {np.linalg.norm(c):.15g} is not 1")
         object.__setattr__(self, "coords", c)
 
@@ -61,7 +60,7 @@ def space_vector_single(sys: SpinSystem, n: Direction3, g: GeneratorSet) -> Spac
     vertices = np.stack([state_to_bloch(p, g).coords for p in obs.eigenstates])
     scale = direction_scale_single(sys.dim)
     return SpaceVector(dim_n=sys.dim, coords=scale * (obs.eigenvalues @ vertices),
-                       scale=scale, source=f"single({sys.s})", direction=n)
+                       scale=scale, source=f"single({sys.s})")
 
 
 def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
@@ -78,7 +77,7 @@ def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
         raise ValueError(f"basis must be 'coupled' or 'product', got {basis!r}")
     vertices = np.stack([state_to_bloch(p, g).coords for p in states])
     return SpaceVector(dim_n=c.dim, coords=scale * (weights @ vertices),
-                       scale=scale, source=f"{basis}({c.s1},{c.s2})", direction=n)
+                       scale=scale, source=f"{basis}({c.s1},{c.s2})")
 
 
 def verify_isomorphism(make_vector: Callable[[Direction3], SpaceVector],

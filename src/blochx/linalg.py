@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Contract-checked wrappers around numpy: products, traces, Kronecker
-products, and Hermitian eigendecompositions with a deterministic
-per-column phase convention so eigenvectors are reproducible.  Nothing
+Contract-checked wrappers around numpy: Hermitian eigendecompositions
+with a deterministic per-column phase convention so eigenvectors are
+reproducible, and the grouping of degenerate eigenvalues.  Nothing
 here bounds N; the limit N <= 64 applies only to the dense generator
 stack (N^4 * 16 bytes) and to the dimensions the CLI accepts.
 """
@@ -28,25 +28,6 @@ def as_square_matrix(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of two square complex matrices of equal dimension."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries."""
-    return complex(np.trace(as_square_matrix(a)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; its trace is the product of the factor traces."""
-    return np.kron(as_square_matrix(a), as_square_matrix(b))
 
 
 def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
@@ -75,16 +56,8 @@ class HermitianEigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
-
     def column(self, i: int) -> np.ndarray:
         return self.eigenvectors[:, i]
-
-    def projector(self, i: int) -> np.ndarray:
-        v = self.eigenvectors[:, i]
-        return np.outer(v, v.conj())
 
 
 def eigh(a) -> HermitianEigenSystem:

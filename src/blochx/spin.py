@@ -29,7 +29,7 @@ class Direction3:
         v = np.asarray(self.components, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"expected 3 components, got shape {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > DIRECTION_ATOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= DIRECTION_ATOL:
             raise ValueError(f"direction norm {np.linalg.norm(v):.15g} is not 1")
         object.__setattr__(self, "components", v)
 
@@ -45,6 +45,8 @@ class Direction3:
     def normalized(cls, components) -> "Direction3":
         v = np.asarray(components, dtype=float)
         nrm = np.linalg.norm(v)
+        if not np.isfinite(nrm):
+            raise ValueError(f"cannot normalize a non-finite direction {v}")
         if nrm < 1e-12:
             raise ValueError("cannot normalize a near-zero direction")
         return cls(v / nrm)
@@ -125,8 +127,6 @@ class SpinObservable:
     rank-1 projectors in the same order.
     """
 
-    system: SpinSystem
-    direction: Direction3
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenstates: tuple[DensityState, ...]
@@ -141,8 +141,7 @@ def spin_along(sys: SpinSystem, n: Direction3) -> SpinObservable:
     if deviation > SPECTRUM_ATOL:
         raise ValidationError(f"spectrum deviates from the -s..s grid by {deviation:.3e}")
     states = tuple(DensityState._rank1(es.column(i)) for i in range(sys.dim))
-    return SpinObservable(system=sys, direction=n, matrix=mat,
-                          eigenvalues=mu, eigenstates=states)
+    return SpinObservable(matrix=mat, eigenvalues=mu, eigenstates=states)
 
 
 def cone_parameters(s: float, mu: float) -> tuple[float, float, float]:

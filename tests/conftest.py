@@ -23,7 +23,7 @@ def random_observable_frame(n: int, rng: np.random.Generator):
     """A random non-degenerate observable: eigenstates from a random
     Hermitian matrix, eigenvalues 0..n-1."""
     es = eigh(random_hermitian(n, rng))
-    states = [DensityState(es.projector(i)) for i in range(n)]
+    states = [DensityState(np.outer(es.column(i), es.column(i).conj())) for i in range(n)]
     return states, np.arange(n, dtype=float)
 
 

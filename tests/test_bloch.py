@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,8 @@ from blochx.bloch import (BlochVector, DensityState, PureState,
                           bloch_to_operator, is_state, projector_to_ket,
                           pure_state_from_direction, purity, random_density,
                           random_ket, state_to_bloch)
-from blochx.correspondence import (space_vector_composite, space_vector_single,
-                                   v_overlap_with_extremal)
+from blochx.correspondence import (SpaceVector, space_vector_composite,
+                                   space_vector_single, v_overlap_with_extremal)
 from blochx.composite import build_composite
 from blochx.generators import build_generators
 from blochx.linalg import ValidationError, eigh
@@ -223,6 +224,28 @@ class TestVectorTypes:
     def test_pure_state_phase_fixed(self):
         state = PureState(np.array([0.0, 1j]))
         assert np.allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: Direction3(np.array([x, 0.0, 0.0])),
+    lambda x: BlochVector(2, np.array([x, 0.0, 0.0])),
+    lambda x: PureState(np.array([x, 0.0])),
+    lambda x: SpaceVector(2, np.array([x, 0.0, 0.0]), 1.0, "single(0.5)"),
+], ids=["Direction3", "BlochVector", "PureState", "SpaceVector"])
+def test_norm_checks_refuse_non_finite_entries(build, bad):
+    # a NaN norm compares false against any tolerance, so each check must
+    # be written to fail unless the residual is provably small
+    with pytest.raises(ValueError, match="norm"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalized_refuses_non_finite_before_dividing(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            Direction3.normalized([bad, 0.0, 0.0])
 
 
 def _generators(n, custom, rng):

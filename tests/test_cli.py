@@ -71,12 +71,12 @@ class TestParseArgs:
                           "--state", "psi.json", "--samples", "1000"])
         assert cfg.command == "measure"
         assert cfg.seed == 0
-        assert cfg.params.samples == 1000
+        assert cfg.samples == 1000
 
     def test_verify_composite_config(self):
         cfg = parse_args(["verify", "--prop", "2bis", "--s1", "0.5", "--s2", "0.5"])
         assert cfg.command == "verify"
-        assert cfg.params.s1 == 0.5
+        assert cfg.s1 == 0.5
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("BLOCHX_SEED", "99")
@@ -337,6 +337,13 @@ class TestErrors:
         assert result.returncode == 1
         assert "--direction" in result.stderr
 
+    @pytest.mark.parametrize("text", ["nan,0,0", "inf,0,0"])
+    def test_non_finite_direction(self, text, tmp_path):
+        result = run_cli(["spin", "--s", "0.5", "--direction", text], tmp_path)
+        assert result.returncode == 1
+        assert "--direction" in result.stderr and "must be finite" in result.stderr
+        assert "Warning" not in result.stderr
+
     def test_trajectory_requires_out(self, tmp_path, psi_file):
         result = run_cli(["measure", "--s", "0.5", "--direction", "0,0,1",
                           "--state", str(psi_file), "--samples", "10",
@@ -422,12 +429,23 @@ class TestSizeLimits:
         assert main(argv) == 1
         assert "above the limit of 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, value, nothing_built, capsys):
+        assert main(["verify", "--prop", "1", "--s", "0.5", f"--tolerance={value}"]) == 1
+        assert "--tolerance must be finite" in capsys.readouterr().err
+
+    def test_dimension_below_two_is_refused_by_the_flag(self, capsys):
+        with pytest.raises(cli.UsageError, match="at least 2"):
+            parse_args(["generators", "--n", "1"])
+        assert main(["generators", "--n", "1"]) == 1
+        assert "at least 2" in capsys.readouterr().err
+
     def test_largest_accepted_sizes(self):
-        assert parse_args(["generators", "--n", "64"]).params.n == 64
-        assert parse_args(["spin", "--s", "31.5", "--direction", "0,0,1"]).params.s == 31.5
+        assert parse_args(["generators", "--n", "64"]).n == 64
+        assert parse_args(["spin", "--s", "31.5", "--direction", "0,0,1"]).s == 31.5
         cfg = parse_args(["compose", "--s1", "3.5", "--s2", "3.5", "--direction",
                           "0,0,1", "--basis", "product"])
-        assert cfg.params.s2 == 3.5
+        assert cfg.s2 == 3.5
 
     @pytest.mark.parametrize("argv", [
         ["generators", "--n", "65"],

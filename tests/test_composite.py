@@ -9,6 +9,15 @@ def basis_matrix(states):
     return np.column_stack([s.amplitudes for s in states])
 
 
+def one_entity_ops(c, n):
+    """The four commuting one-entity operators along ``n``:
+    S_n x I, S^2 x I, I x S_n, I x S^2."""
+    i1 = np.eye(c.system1.dim, dtype=complex)
+    i2 = np.eye(c.system2.dim, dtype=complex)
+    return (np.kron(c.system1.component_along(n), i2), np.kron(c.system1.s_squared, i2),
+            np.kron(i1, c.system2.component_along(n)), np.kron(i1, c.system2.s_squared))
+
+
 class TestBuildComposite:
     def test_half_half_dimensions_and_trace(self):
         c = build_composite(0.5, 0.5)
@@ -39,7 +48,7 @@ class TestBuildComposite:
         c = build_composite(0.5, 1.0)
         n = Direction3.from_angles(0.9, -0.6)
         total = c.total_along(n)
-        for op in c.one_entity_ops(n):
+        for op in one_entity_ops(c, n):
             assert np.max(np.abs(op @ total - total @ op)) < 1e-10
 
     def test_rejects_invalid_spins(self):
@@ -96,7 +105,7 @@ class TestProductBasis:
         c = build_composite(0.5, 1.0)
         n = Direction3.from_angles(2.0, -1.1)
         pb = product_basis(c, n)
-        sn1, sq1, sn2, sq2 = c.one_entity_ops(n)
+        sn1, sq1, sn2, sq2 = one_entity_ops(c, n)
         total = c.total_along(n)
         for e in pb.entries:
             vec = e.state.amplitudes

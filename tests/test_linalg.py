@@ -1,69 +1,8 @@
 import numpy as np
 import pytest
 
-from blochx.linalg import degeneracy_groups, eigh, fix_phase, kron, matmul, trace
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = (np.arange(9).reshape(3, 3) + 1j * np.arange(9).reshape(3, 3)).astype(complex)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_pauli_product(self):
-        # hand multiplication of the 2x2 entries gives [[i, 0], [0, -i]]
-        expected = np.array([[1j, 0], [0, -1j]])
-        assert np.array_equal(matmul(PAULI_1, PAULI_2), expected)
-        assert np.array_equal(matmul(PAULI_1, PAULI_2), 1j * PAULI_3)
-
-    def test_annihilator(self):
-        a = np.ones((4, 4), dtype=complex)
-        assert np.array_equal(matmul(a, np.zeros((4, 4))), np.zeros((4, 4)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 3, 5, 8):
-            a, b, c = (random_hermitian(n, rng) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = np.linalg.norm(left)
-            assert np.max(np.abs(left - right)) <= 1e-12 * scale
-
-
-class TestTrace:
-    def test_identity(self):
-        for n in (2, 3, 7):
-            assert trace(np.eye(n)) == n
-
-    def test_pauli_traceless(self):
-        assert trace(PAULI_3) == 0
-        assert trace(PAULI_1) == 0
-
-    def test_pauli_orthogonality_norm(self):
-        assert trace(PAULI_1 @ PAULI_1) == 2
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_spin_half_component(self):
-        s1 = PAULI_1 / 2
-        assert trace(kron(s1, s1)) == 0
-
-    def test_diagonal(self):
-        assert np.array_equal(kron(np.diag([1.0, 2.0]), np.diag([3.0])), np.diag([3.0, 6.0]))
-
-    def test_trace_multiplicative_on_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for na, nb in ((2, 2), (3, 2), (4, 8), (8, 5)):
-            a = random_hermitian(na, rng)
-            b = random_hermitian(nb, rng)
-            assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12 * (1 + abs(trace(a) * trace(b)))
+from blochx.linalg import degeneracy_groups, eigh, fix_phase
+from conftest import PAULI_1, PAULI_3, random_hermitian
 
 
 class TestEigh:
@@ -102,10 +41,6 @@ class TestEigh:
             col = es.column(i)
             lead = col[np.abs(col) > 1e-9][0]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-    def test_projector(self):
-        es = eigh(PAULI_3)
-        assert np.allclose(es.projector(1), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

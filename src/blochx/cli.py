@@ -174,16 +174,12 @@ def parse_args(argv) -> argparse.Namespace:
     to 0 when the subcommand takes one and none was given.
     """
     args = build_parser().parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is None:
+    if args.command in ("measure", "verify") and args.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = _parse_seed_flag(env)
-            except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"{SEED_ENV_VAR}: {exc}")
-        else:
-            seed = 0
+        try:
+            args.seed = 0 if env is None else _parse_seed_flag(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{SEED_ENV_VAR}: {exc}")
     if args.command == "verify":
         if not math.isfinite(args.tolerance):
             raise UsageError(f"--tolerance must be finite, got {args.tolerance}")
@@ -198,7 +194,6 @@ def parse_args(argv) -> argparse.Namespace:
                              f"{dim}, above the limit of {MAX_DIM}")
     if args.command == "measure" and args.trajectory_steps is not None and args.output is None:
         raise UsageError("--trajectory-steps requires --out for the CSV path")
-    args.seed = seed
     return args
 
 
@@ -218,28 +213,28 @@ def emit_report(report: dict, args: argparse.Namespace) -> None:
             raise UsageError(f"cannot write output file {args.output}: {exc}")
 
 
-def _load_state_json(path: str, flag: str = "--state") -> dict:
+def _load_state_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"unreadable state file for {flag}: {exc}")
+        raise UsageError(f"unreadable state file for --state: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {flag} file {path}: {exc}")
+        raise UsageError(f"malformed JSON in --state file {path}: {exc}")
     if not isinstance(obj, dict):
-        raise UsageError(f"{flag} file {path} must hold a JSON object")
+        raise UsageError(f"--state file {path} must hold a JSON object")
     return obj
 
 
-def _load_density_state(path: str, flag: str = "--state") -> DensityState:
-    obj = _load_state_json(path, flag)
+def _load_density_state(path: str) -> DensityState:
+    obj = _load_state_json(path)
     if "matrix" not in obj:
-        raise UsageError(f"{flag} file {path} has no 'matrix' field")
+        raise UsageError(f"--state file {path} has no 'matrix' field")
     try:
         return DensityState(serialize.matrix_from_json(obj["matrix"]))
     except ValueError as exc:
-        raise UsageError(f"{flag} file {path}: {exc}")
+        raise UsageError(f"--state file {path}: {exc}")
 
 
 def _cmd_generators(args: argparse.Namespace) -> int:
@@ -477,7 +472,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main_entry() -> int:
-    return main()

@@ -1,30 +1,28 @@
 """Orthogonal traceless Hermitian generator bases for N-level systems.
 
-For dimension N the basis holds N^2 - 1 matrices built from an orthonormal
-basis {|b_1>, ..., |b_N>}: the symmetric off-diagonal pairs, the
-antisymmetric (imaginary) pairs, and N - 1 diagonal members, normalized so
-that Tr(L_i L_j) = 2 delta_ij.  With the canonical basis and N = 2 this is
-exactly the Pauli triple; for N = 3 it is the Gell-Mann family.
+For dimension N the set holds the N^2 - 1 generalized Gell-Mann matrices
+on the canonical basis {|1>, ..., |N>} (Bertlmann and Krammer, J. Phys. A
+41, 235303, 2008): the symmetric off-diagonal pairs, the antisymmetric
+(imaginary) pairs, and N - 1 diagonal members, normalized so that
+Tr(L_i L_j) = 2 delta_ij.  For N = 2 this is exactly the Pauli triple; for
+N = 3 it is the Gell-Mann family.
 
 The ordering is fixed: all symmetric pairs (j, k) with j < k in
 lexicographic order, then the antisymmetric pairs in the same order, then
 the diagonal members, so coordinate vectors are reproducible across runs.
 
 The traces Tr(a L_i) and the combinations sum_i x_i L_i are read off and
-written into matrix entries directly, in O(N^2) for the canonical basis;
-the dense (N^2-1, N, N) stack is built only when it is asked for.
+written into matrix entries directly, in O(N^2); the dense (N^2-1, N, N)
+stack is built only when it is asked for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .linalg import as_square_matrix
-
-UNITARITY_ATOL = 1e-10
 
 
 def scale_constant(n: int) -> float:
@@ -35,23 +33,20 @@ def scale_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered generator basis of an N-level system.
+    """Ordered generator basis of an N-level system on the canonical basis.
 
-    ``basis`` holds the orthonormal basis vectors as columns, or is None
-    for the canonical basis; ``c`` is sqrt(N(N-1)/2).  ``matrices``, the
-    (N^2-1, N, N) stack, is built on first access and then kept: the
-    coordinate maps work from the entries of an operator and never need
-    it, so only iterating, indexing or reading ``matrices`` pays for it.
+    ``c`` is sqrt(N(N-1)/2).  ``matrices``, the (N^2-1, N, N) stack, is
+    built on first access and then kept: the coordinate maps work from the
+    entries of an operator and never need it, so only iterating, indexing
+    or reading ``matrices`` pays for it.
     """
 
     dim: int
-    basis: Optional[np.ndarray]
     c: float
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        b = np.eye(self.dim, dtype=complex) if self.basis is None else self.basis
-        return _stack(b)
+        return _stack(np.eye(self.dim, dtype=complex))
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -92,40 +87,29 @@ def _stack(b: np.ndarray) -> np.ndarray:
     return np.stack(mats)
 
 
-def build_generators(n: int, basis=None) -> GeneratorSet:
+def build_generators(n: int) -> GeneratorSet:
     """Construct the ordered generator basis for dimension ``n``.
 
-    ``basis``, if given, must be an n x n unitary whose columns replace the
-    canonical basis vectors.  Raises ValueError for n < 2 or a non-unitary
-    basis.
+    Raises ValueError for n < 2.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    if basis is not None:
-        basis = as_square_matrix(basis)
-        if basis.shape[0] != n:
-            raise ValueError(f"basis shape {basis.shape} does not match dimension {n}")
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(n))) > UNITARITY_ATOL:
-            raise ValueError("basis is not unitary within 1e-10")
-    return GeneratorSet(dim=n, basis=basis, c=scale_constant(n))
+    return GeneratorSet(dim=n, c=scale_constant(n))
 
 
 def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
     """Tr(a L_i) for every generator, in the generator order, read off the
-    entries of ``a`` in the generator basis (Bertlmann and Krammer, J. Phys.
-    A 41, 235303, 2008): a_jk + a_kj and -i(a_kj - a_jk) for the pairs
-    j < k, and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for
-    the diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
+    entries of ``a``: a_jk + a_kj and -i(a_kj - a_jk) for the pairs j < k,
+    and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for the
+    diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
     imaginary parts."""
-    if g.basis is not None:
-        a = g.basis.conj().T @ a @ g.basis
     upper, lower, norm, l_norm = g._layout
     flat = a.ravel()
     a_jk, a_kj = flat[upper], flat[lower]
     d = a.diagonal()
     # each diagonal entry is scaled before it is summed, left to right, as
-    # np.einsum over the dense stack sums it, so on the canonical basis the
-    # traces equal that contraction bit for bit
+    # np.einsum over the dense stack sums it, so the traces equal that
+    # contraction bit for bit
     head = np.cumsum(np.outer(norm, d), axis=1).diagonal()
     return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[1:]])
 
@@ -145,10 +129,7 @@ def _generator_sum(coeffs: np.ndarray, g: GeneratorSet) -> np.ndarray:
     diagonal[:-1] = np.cumsum((norm * diag)[::-1])[::-1]
     diagonal[1:] -= l_norm * diag
     m[::n + 1] = diagonal
-    m = m.reshape(n, n)
-    if g.basis is not None:
-        m = g.basis @ m @ g.basis.conj().T
-    return m
+    return m.reshape(n, n)
 
 
 def expand_on_generators(a, g: GeneratorSet) -> tuple[complex, np.ndarray]:

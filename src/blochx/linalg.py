@@ -30,17 +30,18 @@ def as_square_matrix(a) -> np.ndarray:
     return a
 
 
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(a) -> bool:
+    """Whether every entry of a - a† is at most 1e-12 in magnitude."""
     a = as_square_matrix(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITICITY_ATOL)
 
 
-def fix_phase(v: np.ndarray, cutoff: float = PHASE_MAGNITUDE_CUTOFF) -> np.ndarray:
+def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rescale a vector by a unit phase so that its first component of
-    magnitude above ``cutoff`` becomes real and positive."""
+    magnitude above 1e-9 becomes real and positive."""
     v = np.asarray(v, dtype=complex)
     for x in v:
-        if abs(x) > cutoff:
+        if abs(x) > PHASE_MAGNITUDE_CUTOFF:
             return v * (x.conjugate() / abs(x))
     return v.copy()
 
@@ -76,8 +77,8 @@ def eigh(a) -> HermitianEigenSystem:
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def degeneracy_groups(values, atol: float = DEGENERACY_ATOL) -> list[list[int]]:
-    """Partition indices of ``values`` into groups equal within ``atol``.
+def degeneracy_groups(values) -> list[list[int]]:
+    """Partition indices of ``values`` into groups equal within 1e-9.
 
     Groups are ordered by value ascending; indices inside a group keep
     their original relative order.  Values are compared against the first
@@ -87,7 +88,7 @@ def degeneracy_groups(values, atol: float = DEGENERACY_ATOL) -> list[list[int]]:
     order = np.argsort(values, kind="stable")
     groups: list[list[int]] = []
     for idx in order:
-        if groups and values[idx] - values[groups[-1][0]] <= atol:
+        if groups and values[idx] - values[groups[-1][0]] <= DEGENERACY_ATOL:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])

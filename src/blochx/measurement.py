@@ -33,6 +33,7 @@ VERTEX_GEOMETRY_ATOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
 NEGATIVE_WEIGHT_ATOL = 1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
+RECORD_COUNT = 10  # full records kept by run_measurement
 
 _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter step
 _CHUNK_SAMPLES = 8192  # draws per window of run_measurement's stream; 32k ran slower at N=16
@@ -328,8 +329,7 @@ def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
 
 def run_measurement(psi: DensityState, obs, samples: int, seed: int,
                     generators: Optional[GeneratorSet] = None,
-                    trajectory_steps: Optional[int] = None,
-                    record_count: int = 10) -> MeasurementStatistics:
+                    trajectory_steps: Optional[int] = None) -> MeasurementStatistics:
     """Measure ``psi`` repeatedly and aggregate the outcome statistics.
 
     ``obs`` may be a :class:`SpinObservable`, an (eigenstates, eigenvalues)
@@ -338,13 +338,13 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     ``sample_collapse(..., seed, index=i)`` would, so statistics are
     reproducible sample-by-sample.  Reports per-outcome probabilities,
     empirical frequencies, binomial standard errors, the largest absolute
-    deviation, and the first ``record_count`` full records.
+    deviation, and the first ``RECORD_COUNT`` (10) full records.
 
     Outcomes are counted in fixed windows of the stream, read in order, and
     no disintegration point is kept: memory does not grow with ``samples``,
     and the counts do not depend on the window size.  Only the recorded
     samples have their points drawn again as barycentric rows, so each
-    record's ``lambda_`` is a row of a ``(record_count, N)`` array.
+    record's ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -370,7 +370,7 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     std_errors = np.sqrt(np.maximum(born * (1.0 - born), 0.0) / samples)
     max_dev = float(np.max(np.abs(empirical - born)))
 
-    lam = barycentric_stream(m.dim_n, seed, 0, min(max(record_count, 0), samples))
+    lam = barycentric_stream(m.dim_n, seed, 0, min(RECORD_COUNT, samples))
     group_wins = m.vertex_group[_winning_vertices(lam, weights)]
     post_cache: dict[int, DensityState] = {}
     records = []

@@ -87,14 +87,13 @@ def check_projection(s: float, mu: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """The three component matrices of a spin-s entity plus their square."""
+    """The three component matrices of a spin-s entity."""
 
     s: float
     dim: int
     s1: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
-    s_squared: np.ndarray
 
     def component_along(self, n: Direction3) -> np.ndarray:
         n1, n2, n3 = n.components
@@ -114,8 +113,7 @@ def build_spin_system(s: float) -> SpinSystem:
     s1 = (raising + lowering) / 2.0
     s2 = (raising - lowering) / 2.0j
     s3 = np.diag(m.astype(complex))
-    return SpinSystem(s=s, dim=n, s1=s1, s2=s2, s3=s3,
-                      s_squared=s1 @ s1 + s2 @ s2 + s3 @ s3)
+    return SpinSystem(s=s, dim=n, s1=s1, s2=s2, s3=s3)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,6 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvectors of a random Hermitian matrix: a generic unitary basis."""
-    return eigh(random_hermitian(n, rng)).eigenvectors
-
-
 def random_observable_frame(n: int, rng: np.random.Generator):
     """A random non-degenerate observable: eigenstates from a random
     Hermitian matrix, eigenvalues 0..n-1."""

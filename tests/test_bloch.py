@@ -17,7 +17,7 @@ from blochx.linalg import ValidationError, eigh
 from blochx.measurement import (lueders_post_state, run_measurement,
                                 simplex_from_observable)
 from blochx.spin import X1, X3, Direction3, build_spin_system, spin_along
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian
 
 
 def unit_vector(n, index):
@@ -248,29 +248,24 @@ def test_normalized_refuses_non_finite_before_dividing(bad):
             Direction3.normalized([bad, 0.0, 0.0])
 
 
-def _generators(n, custom, rng):
-    return build_generators(n, basis=random_unitary(n, rng) if custom else None)
-
-
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_state_to_bloch_matches_the_dense_stack(n, custom, seed):
+@given(n=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_state_to_bloch_matches_the_dense_stack(n, seed):
     rng = np.random.default_rng(seed)
-    g = _generators(n, custom, rng)
+    g = build_generators(n)
     d = random_density(n, rng)
     dense = np.einsum("kij,ji->k", g.matrices, d.matrix) * (n / (2.0 * g.c))
     coords = state_to_bloch(d, g).coords
     assert np.max(np.abs(coords - dense.real)) <= 1e-14
-    if not custom:
-        # same sums in the same order, so reports stay bit-identical
-        assert np.array_equal(coords, dense.real)
+    # same sums in the same order, so reports stay bit-identical
+    assert np.array_equal(coords, dense.real)
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_bloch_to_operator_matches_the_dense_stack(n, custom, seed):
+@given(n=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_bloch_to_operator_matches_the_dense_stack(n, seed):
     rng = np.random.default_rng(seed)
-    g = _generators(n, custom, rng)
+    g = build_generators(n)
     coords = rng.standard_normal(n * n - 1)
     r = BlochVector(n, coords * rng.random() / np.linalg.norm(coords))
     dense = (np.eye(n) + g.c * np.tensordot(r.coords, g.matrices, axes=1)) / n

@@ -91,6 +91,38 @@ class TestParseArgs:
         assert cfg.seed == 3
 
 
+def without_timestamp(text):
+    return [line for line in text.splitlines() if '"generated_at"' not in line]
+
+
+class TestMalformedSeedEnv:
+    @pytest.mark.parametrize("argv", [
+        ["generators", "--n", "2"],
+        ["spin", "--s", "1", "--direction", "0,0,1"],
+        ["bloch", "--state", "PSI"],
+        ["compose", "--s1", "0.5", "--s2", "1", "--direction", "0,0,1",
+         "--basis", "coupled"],
+    ], ids=["generators", "spin", "bloch", "compose"])
+    def test_ignored_by_commands_without_a_seed(self, argv, psi_file, monkeypatch,
+                                                capsys):
+        argv = [str(psi_file) if a == "PSI" else a for a in argv]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setenv("BLOCHX_SEED", "x")
+        assert main(argv) == 0
+        assert without_timestamp(capsys.readouterr().out) == without_timestamp(clean)
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--s", "0.5", "--direction", "0,0,1", "--state", "PSI",
+         "--samples", "10"],
+        ["verify", "--prop", "1", "--s", "0.5"],
+    ], ids=["measure", "verify"])
+    def test_refused_by_commands_with_a_seed(self, argv, psi_file, monkeypatch, capsys):
+        monkeypatch.setenv("BLOCHX_SEED", "x")
+        assert main([str(psi_file) if a == "PSI" else a for a in argv]) == 1
+        assert "BLOCHX_SEED: invalid seed" in capsys.readouterr().err
+
+
 class TestGenerators:
     def test_pauli_matrices_in_report(self, tmp_path):
         out = tmp_path / "gen.json"

@@ -12,10 +12,12 @@ def basis_matrix(states):
 def one_entity_ops(c, n):
     """The four commuting one-entity operators along ``n``:
     S_n x I, S^2 x I, I x S_n, I x S^2."""
-    i1 = np.eye(c.system1.dim, dtype=complex)
-    i2 = np.eye(c.system2.dim, dtype=complex)
-    return (np.kron(c.system1.component_along(n), i2), np.kron(c.system1.s_squared, i2),
-            np.kron(i1, c.system2.component_along(n)), np.kron(i1, c.system2.s_squared))
+    sys1, sys2 = c.system1, c.system2
+    i1 = np.eye(sys1.dim, dtype=complex)
+    i2 = np.eye(sys2.dim, dtype=complex)
+    sq1, sq2 = (s.s1 @ s.s1 + s.s2 @ s.s2 + s.s3 @ s.s3 for s in (sys1, sys2))
+    return (np.kron(sys1.component_along(n), i2), np.kron(sq1, i2),
+            np.kron(i1, sys2.component_along(n)), np.kron(i1, sq2))
 
 
 class TestBuildComposite:

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import pure_state_from_direction
 from blochx.generators import build_generators, expand_on_generators, scale_constant
-from blochx.linalg import eigh
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian, random_unitary
+from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
 
 
 class TestBuildGenerators:
@@ -62,22 +61,6 @@ class TestBuildGenerators:
         with pytest.raises(ValueError, match="at least 2"):
             build_generators(1)
 
-    def test_rejects_non_unitary_basis(self):
-        with pytest.raises(ValueError, match="unitary"):
-            build_generators(2, basis=np.array([[1, 1], [0, 1]], dtype=complex))
-
-    def test_rejects_basis_of_wrong_dimension(self):
-        with pytest.raises(ValueError, match="does not match"):
-            build_generators(3, basis=np.eye(2))
-
-    def test_custom_basis_keeps_invariants(self):
-        rng = np.random.default_rng(23)
-        basis = eigh(random_hermitian(4, rng)).eigenvectors
-        g = build_generators(4, basis=basis)
-        gram = np.einsum("aij,bji->ab", g.matrices, g.matrices)
-        assert np.max(np.abs(gram - 2 * np.eye(15))) < 1e-10
-        assert np.max(np.abs(np.einsum("kii->k", g.matrices))) < 1e-12
-
 
 class TestExpandOnGenerators:
     def test_identity(self):
@@ -130,10 +113,10 @@ class TestLazyStack:
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 24), custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_expansion_matches_the_dense_stack(n, custom, seed):
+@given(n=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_expansion_matches_the_dense_stack(n, seed):
     rng = np.random.default_rng(seed)
-    g = build_generators(n, basis=random_unitary(n, rng) if custom else None)
+    g = build_generators(n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     coeff, coords = expand_on_generators(a, g)
     assert coeff == complex(np.trace(a)) / n

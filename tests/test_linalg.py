@@ -56,6 +56,8 @@ class TestHelpers:
     def test_degeneracy_groups_sorted(self):
         groups = degeneracy_groups([1.0, 1.0 + 1e-12, 2.0])
         assert groups == [[0, 1], [2]]
+        # 2e-9 apart is above the 1e-9 tolerance
+        assert degeneracy_groups([1.0, 1.0 + 2e-9]) == [[0], [1]]
 
     def test_degeneracy_groups_unsorted_input(self):
         groups = degeneracy_groups([0.5, -0.5, 0.5])

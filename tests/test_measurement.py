@@ -535,10 +535,12 @@ def test_counts_do_not_depend_on_the_chunk_size(n, monkeypatch):
 def test_records_do_not_keep_the_sample_array():
     m, g = spin_simplex(0.5)
     psi = pure_state_from_direction(1.0, 0.0)
-    stats = run_measurement(psi, m, 1_000_000, 67, generators=g, record_count=10)
+    stats = run_measurement(psi, m, 1_000_000, 67, generators=g)
     assert len(stats.records_sample) == 10
     for rec in stats.records_sample:
         assert rec.lambda_.base is None or rec.lambda_.base.nbytes <= 10 * 2 * 8
+    # fewer samples than records: one record per sample
+    assert len(run_measurement(psi, m, 3, 67, generators=g).records_sample) == 3
 
 
 def traced_peak(psi, m, g, samples):

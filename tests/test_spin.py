@@ -59,7 +59,8 @@ class TestBuildSpinSystem:
                  (sys_.s3, sys_.s1, sys_.s2))
         for a, b, c in pairs:
             assert np.max(np.abs(a @ b - b @ a - 1j * c)) < 1e-12
-        assert np.max(np.abs(sys_.s_squared - s * (s + 1) * np.eye(sys_.dim))) < 1e-12
+        s_squared = sys_.s1 @ sys_.s1 + sys_.s2 @ sys_.s2 + sys_.s3 @ sys_.s3
+        assert np.max(np.abs(s_squared - s * (s + 1) * np.eye(sys_.dim))) < 1e-12
 
     @pytest.mark.parametrize("s", (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
     def test_component_trace_orthogonality(self, s):

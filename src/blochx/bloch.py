@@ -6,6 +6,10 @@ D = (1/N)(I + c_N r.L) with c_N = sqrt(N(N-1)/2).  Pure states sit on the
 unit sphere, the maximally mixed state at the center, and for N > 2 most
 of the ball carries no state at all: the linear combination is always
 Hermitian with unit trace but need not be positive.
+
+An eigenbasis is built in one stacked pass, ``DensityState._rank1_rows`` for the
+projectors of its kets and ``_bloch_rows`` for their coordinates, in blocks of at
+most 128 KiB, with the checks and the bits of one state at a time.
 """
 from __future__ import annotations
 
@@ -14,20 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet, _generator_sum, _generator_traces
-from .linalg import ValidationError, as_square_matrix, fix_phase, is_hermitian
+from .linalg import HERMITICITY_ATOL, ValidationError, as_square_matrix, fix_phase, is_hermitian
 
 TRACE_ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 PURITY_RANK1_ATOL = 1e-9
+RESIDUE_ATOL = 1e-10
+# bytes of N x N complex matrices per block of a stacked pass: a whole N=64 basis
+# at once ran slower than one state at a time, and 32 KiB (one N=36 matrix) lost the gain
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
 class DensityState:
     """A validated operator-state: Hermitian within 1e-12, unit trace
     within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_rank1(v)``
-    (v v† of a unit ket) and ``_psd(m)`` build states from matrices the
-    library made positive semidefinite, and skip only the last check."""
+    (v v† of a unit ket, or ``_rank1_rows`` of each row) and ``_psd(m)`` build
+    states from matrices the library made PSD, and skip only the last check."""
 
     matrix: np.ndarray
 
@@ -44,6 +52,10 @@ class DensityState:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(m) - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {np.trace(m):.15g} is not 1")
+        return cls._wrap(m)
+
+    @classmethod
+    def _wrap(cls, m: np.ndarray) -> DensityState:
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", m)
         return state
@@ -51,6 +63,20 @@ class DensityState:
     @classmethod
     def _rank1(cls, v: np.ndarray) -> DensityState:
         return cls._psd(np.outer(v, v.conj()))
+
+    @classmethod
+    def _rank1_rows(cls, kets: np.ndarray) -> list[DensityState]:
+        """``_rank1`` of every row of ``kets``, checked a block at a time, each
+        matrix a view of its block; a failing one goes through ``_psd``."""
+        states, step = [], max(1, _BLOCK_BYTES // (16 * kets.shape[1] ** 2))
+        for start in range(0, len(kets), step):
+            v = kets[start:start + step]
+            block = v[:, :, None] * v.conj()[:, None, :]
+            asym = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
+            off = np.abs(block.trace(axis1=1, axis2=2) - 1.0)
+            for m, ok in zip(block, (asym <= HERMITICITY_ATOL) & ~(off > TRACE_ATOL)):
+                states.append(cls._wrap(m) if ok else cls._psd(m))
+        return states
 
     @property
     def dim(self) -> int:
@@ -107,9 +133,28 @@ def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
         raise ValueError(f"dimension mismatch: state is {d.dim}, generators are {g.dim}")
     raw = _generator_traces(d.matrix, g) * (g.dim / (2.0 * g.c))
     residue = float(np.max(np.abs(raw.imag)))
-    if residue > 1e-10:
+    if residue > RESIDUE_ATOL:
         raise ValidationError(f"imaginary residue {residue:.3e} in coordinates")
     return BlochVector(dim_n=g.dim, coords=raw.real)
+
+
+def _bloch_rows(matrices, g: GeneratorSet) -> np.ndarray:
+    """``state_to_bloch(d, g).coords`` of each of ``matrices`` ((k, N, N) or N x N
+    arrays) as the rows of one C-contiguous array, a block at a time; the first
+    failing matrix goes through ``state_to_bloch`` for the same error."""
+    n, step = g.dim, max(1, _BLOCK_BYTES // (16 * g.dim ** 2))
+    rows = np.empty((len(matrices), n * n - 1))
+    for start in range(0, len(rows), step):
+        block = np.asarray(matrices[start:start + step], dtype=complex)
+        if block.shape[1:] != (n, n):
+            raise ValueError(f"dimension mismatch: state is {block.shape[-1]}, generators are {n}")
+        raw = _generator_traces(block, g) * (n / (2.0 * g.c))
+        residue = np.max(np.abs(raw.imag), axis=1)
+        bad = (residue > RESIDUE_ATOL) | ~(np.linalg.norm(raw.real, axis=1) <= 1.0 + NORM_ATOL)
+        if bad.any():
+            state_to_bloch(DensityState._wrap(block[np.argmax(bad)]), g)
+        rows[start:start + len(block)] = raw.real
+    return rows
 
 
 def bloch_to_operator(r: BlochVector, g: GeneratorSet) -> np.ndarray:

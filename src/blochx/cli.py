@@ -55,14 +55,18 @@ def _spin_dim(s: float) -> int:
     return int(round(2 * s)) + 1
 
 
+def _refuse_above_limit(dim: int, subject: str, error: type[Exception]) -> None:
+    """Raise ``error`` for a Hilbert space dimension above MAX_DIM."""
+    if dim > MAX_DIM:
+        raise error(f"{subject} dimension {dim}, above the limit of {MAX_DIM}")
+
+
 def _parse_spin_flag(text: str) -> float:
     try:
         s = check_spin(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid spin: {text!r}")
-    dim = _spin_dim(s)
-    if dim > MAX_DIM:
-        raise argparse.ArgumentTypeError(f"spin {text} has dimension {dim}, above the limit of {MAX_DIM}")
+    _refuse_above_limit(_spin_dim(s), f"spin {text} has", argparse.ArgumentTypeError)
     return s
 
 
@@ -188,10 +192,8 @@ def parse_args(argv) -> argparse.Namespace:
         if args.prop in ("2", "2bis") and (args.s1 is None or args.s2 is None):
             raise UsageError(f"--prop {args.prop} requires --s1 and --s2")
     if args.command == "compose" or (args.command == "verify" and args.prop != "1"):
-        dim = _spin_dim(args.s1) * _spin_dim(args.s2)
-        if dim > MAX_DIM:
-            raise UsageError(f"--s1 {args.s1} and --s2 {args.s2} have composite dimension "
-                             f"{dim}, above the limit of {MAX_DIM}")
+        _refuse_above_limit(_spin_dim(args.s1) * _spin_dim(args.s2),
+                            f"--s1 {args.s1} and --s2 {args.s2} have composite", UsageError)
     if args.command == "measure" and args.trajectory_steps is not None and args.output is None:
         raise UsageError("--trajectory-steps requires --out for the CSV path")
     return args

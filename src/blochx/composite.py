@@ -11,11 +11,12 @@ states are entangled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bloch import PureState, projector_to_ket
-from .linalg import degeneracy_groups, eigh, fix_phase
+from .bloch import DensityState, PureState, projector_to_ket
+from .linalg import HermitianEigenSystem, degeneracy_groups, eigh, fix_phase
 from .spin import Direction3, SpinSystem, build_spin_system, spin_along
 
 EIGENVALUE_SNAP_ATOL = 1e-9
@@ -32,6 +33,11 @@ class CompositeSpinSystem:
     dim: int
     components: tuple[np.ndarray, np.ndarray, np.ndarray]
     total_s_squared: np.ndarray
+
+    @cached_property
+    def _casimir(self) -> HermitianEigenSystem:
+        """eigh of the squared total spin, which no direction changes."""
+        return eigh(self.total_s_squared)
 
     def total_along(self, n: Direction3) -> np.ndarray:
         n1, n2, n3 = n.components
@@ -72,7 +78,7 @@ class CoupledBasis:
     def eigensystem(self) -> tuple[list, np.ndarray]:
         """Eigenstate projectors and total-component eigenvalues, ready to
         feed a measurement simplex."""
-        return ([e.state.projector() for e in self.entries],
+        return (DensityState._rank1_rows(np.stack([e.state.amplitudes for e in self.entries])),
                 np.array([e.mu for e in self.entries]))
 
 
@@ -91,7 +97,7 @@ class ProductBasis:
     entries: tuple[ProductEntry, ...]
 
     def eigensystem(self) -> tuple[list, np.ndarray]:
-        return ([e.state.projector() for e in self.entries],
+        return (DensityState._rank1_rows(np.stack([e.state.amplitudes for e in self.entries])),
                 np.array([e.mu1 + e.mu2 for e in self.entries]))
 
 
@@ -118,7 +124,7 @@ def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
     block is re-Hermitized before diagonalizing to shed rounding noise.
     """
     total = c.total_along(n)
-    casimir = eigh(c.total_s_squared)
+    casimir = c._casimir
     entries = []
     for group in degeneracy_groups(casimir.eigenvalues):
         s_label = _spin_from_casimir(float(casimir.eigenvalues[group[0]]))
@@ -138,12 +144,11 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     """Pair up the one-entity eigenstates along ``n``."""
     obs1 = spin_along(c.system1, n)
     obs2 = spin_along(c.system2, n)
-    kets1 = [projector_to_ket(p) for p in obs1.eigenstates]
-    kets2 = [projector_to_ket(p) for p in obs2.eigenstates]
-    entries = []
-    for i, mu1 in enumerate(obs1.eigenvalues):
-        for j, mu2 in enumerate(obs2.eigenvalues):
-            amplitudes = np.kron(kets1[i].amplitudes, kets2[j].amplitudes)
-            entries.append(ProductEntry(mu1=float(mu1), mu2=float(mu2),
-                                        state=PureState(amplitudes)))
-    return ProductBasis(entries=tuple(entries))
+    kets1 = np.stack([projector_to_ket(p).amplitudes for p in obs1.eigenstates])
+    kets2 = np.stack([projector_to_ket(p).amplitudes for p in obs2.eigenstates])
+    # row i * N2 + j is np.kron(kets1[i], kets2[j]), the same products
+    products = (kets1[:, None, :, None] * kets2[None, :, None, :]).reshape(c.dim, c.dim)
+    mu1, mu2 = np.meshgrid(obs1.eigenvalues, obs2.eigenvalues, indexing="ij")
+    return ProductBasis(entries=tuple(
+        ProductEntry(mu1=float(a), mu2=float(b), state=PureState(amplitudes))
+        for a, b, amplitudes in zip(mu1.ravel(), mu2.ravel(), products)))

@@ -7,7 +7,8 @@ have the same dot product as the underlying spatial directions, so they
 span an isomorphic copy of the direction sphere inside the ball.  The
 eigenstate vertices project onto this axis at equally spaced heights
 proportional to their eigenvalues, while the axis itself represents a
-state only in the two-level case.
+state only in the two-level case.  Each vector takes the coordinate rows
+of its whole eigenbasis from one stacked pass (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import BlochVector, bloch_to_operator, state_to_bloch
+from .bloch import BlochVector, _bloch_rows, bloch_to_operator
 from .composite import CompositeSpinSystem, coupled_basis, product_basis
 from .generators import GeneratorSet
 from .measurement import MeasurementSimplex
@@ -57,7 +58,7 @@ def space_vector_single(sys: SpinSystem, n: Direction3, g: GeneratorSet) -> Spac
     """Direction representative of a single spin entity: the normalized
     eigenvalue-weighted sum of its eigenstate vectors."""
     obs = spin_along(sys, n)
-    vertices = np.stack([state_to_bloch(p, g).coords for p in obs.eigenstates])
+    vertices = _bloch_rows([p.matrix for p in obs.eigenstates], g)
     scale = direction_scale_single(sys.dim)
     return SpaceVector(dim_n=sys.dim, coords=scale * (obs.eigenvalues @ vertices),
                        scale=scale, source=f"single({sys.s})")
@@ -75,7 +76,7 @@ def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
         states, weights = product_basis(c, n).eigensystem()
     else:
         raise ValueError(f"basis must be 'coupled' or 'product', got {basis!r}")
-    vertices = np.stack([state_to_bloch(p, g).coords for p in states])
+    vertices = _bloch_rows([p.matrix for p in states], g)
     return SpaceVector(dim_n=c.dim, coords=scale * (weights @ vertices),
                        scale=scale, source=f"{basis}({c.s1},{c.s2})")
 

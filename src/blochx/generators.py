@@ -102,16 +102,16 @@ def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
     entries of ``a``: a_jk + a_kj and -i(a_kj - a_jk) for the pairs j < k,
     and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for the
     diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
-    imaginary parts."""
+    imaginary parts.  A (k, N, N) stack gives the bits of each matrix alone."""
     upper, lower, norm, l_norm = g._layout
-    flat = a.ravel()
-    a_jk, a_kj = flat[upper], flat[lower]
-    d = a.diagonal()
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    a_jk, a_kj = flat[..., upper], flat[..., lower]
+    d = a.diagonal(axis1=-2, axis2=-1)
     # each diagonal entry is scaled before it is summed, left to right, as
     # np.einsum over the dense stack sums it, so the traces equal that
     # contraction bit for bit
-    head = np.cumsum(np.outer(norm, d), axis=1).diagonal()
-    return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[1:]])
+    head = np.cumsum(norm[:, None] * d[..., None, :], axis=-1).diagonal(axis1=-2, axis2=-1)
+    return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[..., 1:]], -1)
 
 
 def _generator_sum(coeffs: np.ndarray, g: GeneratorSet) -> np.ndarray:

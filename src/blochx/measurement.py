@@ -16,6 +16,8 @@ disintegration of the simplex at a uniformly distributed interior point
 whose containing sub-simplex selects the outcome, and a deterministic
 return to the appropriate final state (an eigenstate vertex, or the
 renormalized projection onto the eigenspace for a degenerate outcome).
+The simplex vertices come from one stacked coordinate pass over the
+eigenstate projectors (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bloch import BlochVector, DensityState, state_to_bloch
+from .bloch import BlochVector, DensityState, _bloch_rows, state_to_bloch
 from .generators import GeneratorSet, build_generators
 from .linalg import ValidationError, degeneracy_groups
 from .spin import SpinObservable
@@ -135,7 +137,7 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
     if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_ATOL:
         raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
-    vertices = np.stack([state_to_bloch(state, g).coords for state in states])
+    vertices = _bloch_rows(projectors, g)
     dots = vertices @ vertices.T
     expected = -np.ones((n, n)) / (n - 1) + (1.0 + 1.0 / (n - 1)) * np.eye(n)
     if np.max(np.abs(dots - expected)) > VERTEX_GEOMETRY_ATOL:
@@ -278,8 +280,8 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
         best = x[0]
         winner = np.zeros(len(window), dtype=np.intp)
         for j in range(1, len(positive)):
-            better = x[j] > best
-            winner[better] = j
+            # j exceeds every earlier winner, so no branch on the data
+            np.maximum(winner, (x[j] > best) * j, out=winner)
             np.maximum(best, x[j], out=best)
         wins += np.bincount(winner, minlength=len(positive))
     counts = np.zeros(n, dtype=np.intp)

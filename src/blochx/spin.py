@@ -138,7 +138,7 @@ def spin_along(sys: SpinSystem, n: Direction3) -> SpinObservable:
     deviation = float(np.max(np.abs(es.eigenvalues - mu)))
     if deviation > SPECTRUM_ATOL:
         raise ValidationError(f"spectrum deviates from the -s..s grid by {deviation:.3e}")
-    states = tuple(DensityState._rank1(es.column(i)) for i in range(sys.dim))
+    states = tuple(DensityState._rank1_rows(es.eigenvectors.T))
     return SpinObservable(matrix=mat, eigenvalues=mu, eigenstates=states)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import BlochVector, bloch_to_operator, is_state, state_to_bloch
 from blochx.composite import build_composite, coupled_basis
@@ -9,7 +10,7 @@ from blochx.correspondence import (direction_scale_composite,
                                    random_directions, space_vector_composite,
                                    space_vector_single, v_overlap_with_extremal,
                                    verify_isomorphism)
-from blochx.generators import build_generators
+from blochx.generators import build_generators, expand_on_generators
 from blochx.measurement import simplex_from_observable
 from blochx.spin import Direction3, X1, X2, X3, build_spin_system, spin_along
 
@@ -209,3 +210,41 @@ class TestRandomDirections:
         for da, db in zip(a, b):
             assert np.array_equal(da.components, db.components)
             assert abs(np.linalg.norm(da.components) - 1.0) < 1e-12
+
+
+def direction_map(components, scale, g):
+    """The closed form v(n) = M n: since sum_i mu_i P_i = S_n and the
+    coordinate map is linear, column a of M is the scaled coordinate
+    vector (N / c_N) Tr(S_a L) / 2 of the a-th spin component."""
+    return np.column_stack([scale * g.dim / g.c * expand_on_generators(op, g)[1].real
+                            for op in components])
+
+
+unit_directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(Direction3.normalized)
+# (s1, s2) with (2 s1 + 1)(2 s2 + 1) <= 64, the composites the CLI accepts
+composite_spins = st.integers(1, 31).flatmap(lambda two_s1: st.tuples(
+    st.just(two_s1 / 2), st.integers(1, 64 // (two_s1 + 1) - 1).map(lambda t: t / 2)))
+
+
+class TestDirectionMapOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(two_s=st.integers(1, 63), n=unit_directions)
+    def test_single(self, two_s, n):
+        sys_ = build_spin_system(two_s / 2)
+        g = build_generators(sys_.dim)
+        m = direction_map((sys_.s1, sys_.s2, sys_.s3), direction_scale_single(sys_.dim), g)
+        assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-12
+        v = space_vector_single(sys_, n, g)
+        assert np.max(np.abs(m @ n.components - v.coords)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(spins=composite_spins, n=unit_directions)
+    def test_composite(self, spins, n):
+        c = build_composite(*spins)
+        g = build_generators(c.dim)
+        m = direction_map(c.components, direction_scale_composite(c.system1.dim, c.system2.dim), g)
+        assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-12
+        for basis in ("coupled", "product"):
+            v = space_vector_composite(c, n, basis, g)
+            assert np.max(np.abs(m @ n.components - v.coords)) <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import (BlochVector, DensityState, pure_state_from_direction,
                           random_density, random_ket, state_to_bloch)
-from blochx import composite, measurement
+from blochx import bloch, composite, measurement
 from blochx.generators import build_generators
 from blochx.linalg import ValidationError
 from blochx.measurement import (OnSimplexState,
@@ -113,17 +113,16 @@ class TestSimplexFromObservable:
         obs = spin_along(build_spin_system(0.5), X3)
 
         def shifted(shift):
-            def to_bloch(d, g):
-                r = state_to_bloch(d, g)
-                return BlochVector(r.dim_n, (r.coords + shift) / np.sqrt(1.0 + shift @ shift))
-            return to_bloch
+            def rows(matrices, g):
+                return (bloch._bloch_rows(matrices, g) + shift) / np.sqrt(1.0 + shift @ shift)
+            return rows
 
         # a shift along x, orthogonal to both z-axis vertices, moves the dot
         # products by about 1e-12 (within tolerance) but the centroid by 2e-6
-        monkeypatch.setattr(measurement, "state_to_bloch", shifted(np.array([1e-6, 0.0, 0.0])))
+        monkeypatch.setattr(measurement, "_bloch_rows", shifted(np.array([1e-6, 0.0, 0.0])))
         with pytest.raises(ValidationError, match="centroid"):
             simplex_from_observable(obs, g)
-        monkeypatch.setattr(measurement, "state_to_bloch", shifted(np.array([0.1, 0.0, 0.0])))
+        monkeypatch.setattr(measurement, "_bloch_rows", shifted(np.array([0.1, 0.0, 0.0])))
         with pytest.raises(ValidationError, match="regular simplex"):
             simplex_from_observable(obs, g)
 

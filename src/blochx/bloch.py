@@ -69,6 +69,7 @@ class DensityState:
         """``_rank1`` of every row of ``kets``, checked a block at a time, each
         matrix a view of its block; a failing one goes through ``_psd``."""
         states, step = [], max(1, _BLOCK_BYTES // (16 * kets.shape[1] ** 2))
+        kets = np.ascontiguousarray(kets)  # strided rows made the products ~2x slower
         for start in range(0, len(kets), step):
             v = kets[start:start + step]
             block = v[:, :, None] * v.conj()[:, None, :]

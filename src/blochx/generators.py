@@ -105,7 +105,8 @@ def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
     imaginary parts.  A (k, N, N) stack gives the bits of each matrix alone."""
     upper, lower, norm, l_norm = g._layout
     flat = a.reshape(a.shape[:-2] + (-1,))
-    a_jk, a_kj = flat[..., upper], flat[..., lower]
+    # np.take, as indexing the last axis of a stack with an array ran up to 4x slower
+    a_jk, a_kj = np.take(flat, upper, axis=-1), np.take(flat, lower, axis=-1)
     d = a.diagonal(axis1=-2, axis2=-1)
     # each diagonal entry is scaled before it is summed, left to right, as
     # np.einsum over the dense stack sums it, so the traces equal that

@@ -7,9 +7,9 @@ unit sphere, the maximally mixed state at the center, and for N > 2 most
 of the ball carries no state at all: the linear combination is always
 Hermitian with unit trace but need not be positive.
 
-An eigenbasis is built in one stacked pass, ``DensityState._rank1_rows`` for the
-projectors of its kets and ``_bloch_rows`` for their coordinates, in blocks of at
-most 128 KiB, with the checks and the bits of one state at a time.
+Projectors (``DensityState._rank1_rows``) and coordinates (``_bloch_rows``) are
+each one stacked pass over rows, in blocks of at most 128 KiB; a single state is
+its one-row case, with the same checks and bits as a row of a whole eigenbasis.
 """
 from __future__ import annotations
 
@@ -33,9 +33,9 @@ _BLOCK_BYTES = 128 * 1024
 @dataclass(frozen=True)
 class DensityState:
     """A validated operator-state: Hermitian within 1e-12, unit trace
-    within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_rank1(v)``
-    (v v† of a unit ket, or ``_rank1_rows`` of each row) and ``_psd(m)`` build
-    states from matrices the library made PSD, and skip only the last check."""
+    within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_rank1_rows``
+    (v v† of each unit ket) and ``_psd(m)`` build states from matrices the
+    library made PSD, and skip only the last check."""
 
     matrix: np.ndarray
 
@@ -61,13 +61,9 @@ class DensityState:
         return state
 
     @classmethod
-    def _rank1(cls, v: np.ndarray) -> DensityState:
-        return cls._psd(np.outer(v, v.conj()))
-
-    @classmethod
     def _rank1_rows(cls, kets: np.ndarray) -> list[DensityState]:
-        """``_rank1`` of every row of ``kets``, checked a block at a time, each
-        matrix a view of its block; a failing one goes through ``_psd``."""
+        """The projector v v† of every row v of ``kets``, checked a block at a
+        time, each matrix a view of its block; a failing one goes through ``_psd``."""
         states, step = [], max(1, _BLOCK_BYTES // (16 * kets.shape[1] ** 2))
         kets = np.ascontiguousarray(kets)  # strided rows made the products ~2x slower
         for start in range(0, len(kets), step):
@@ -125,24 +121,18 @@ class PureState:
         return self.amplitudes.shape[0]
 
     def projector(self) -> DensityState:
-        return DensityState._rank1(self.amplitudes)
+        return DensityState._rank1_rows(self.amplitudes[None])[0]
 
 
 def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
     """Coordinates r_i = (N / 2c_N) Tr(D L_i) of an operator-state."""
-    if d.dim != g.dim:
-        raise ValueError(f"dimension mismatch: state is {d.dim}, generators are {g.dim}")
-    raw = _generator_traces(d.matrix, g) * (g.dim / (2.0 * g.c))
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > RESIDUE_ATOL:
-        raise ValidationError(f"imaginary residue {residue:.3e} in coordinates")
-    return BlochVector(dim_n=g.dim, coords=raw.real)
+    return BlochVector(g.dim, _bloch_rows(d.matrix[None], g)[0])
 
 
 def _bloch_rows(matrices, g: GeneratorSet) -> np.ndarray:
     """``state_to_bloch(d, g).coords`` of each of ``matrices`` ((k, N, N) or N x N
-    arrays) as the rows of one C-contiguous array, a block at a time; the first
-    failing matrix goes through ``state_to_bloch`` for the same error."""
+    arrays) as the rows of one C-contiguous array, a block at a time.  The first
+    failing matrix raises: ValidationError for an imaginary residue, else BlochVector's."""
     n, step = g.dim, max(1, _BLOCK_BYTES // (16 * g.dim ** 2))
     rows = np.empty((len(matrices), n * n - 1))
     for start in range(0, len(rows), step):
@@ -152,8 +142,10 @@ def _bloch_rows(matrices, g: GeneratorSet) -> np.ndarray:
         raw = _generator_traces(block, g) * (n / (2.0 * g.c))
         residue = np.max(np.abs(raw.imag), axis=1)
         bad = (residue > RESIDUE_ATOL) | ~(np.linalg.norm(raw.real, axis=1) <= 1.0 + NORM_ATOL)
-        if bad.any():
-            state_to_bloch(DensityState._wrap(block[np.argmax(bad)]), g)
+        for i in np.flatnonzero(bad):
+            if residue[i] > RESIDUE_ATOL:
+                raise ValidationError(f"imaginary residue {residue[i]:.3e} in coordinates")
+            BlochVector(n, raw[i].real)  # its own norm check, with its error text
         rows[start:start + len(block)] = raw.real
     return rows
 

@@ -32,7 +32,7 @@ from .correspondence import (direction_scale_composite, direction_scale_single,
 from .generators import build_generators
 from .linalg import ValidationError
 from .measurement import run_measurement, simplex_from_observable
-from .spin import Direction3, build_spin_system, check_spin, spin_along
+from .spin import X1, X2, X3, Direction3, build_spin_system, check_spin, spin_along
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "BLOCHX_SEED"
@@ -402,9 +402,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = build_generators(n_dim)
         deviations = isomorphism_sweep(lambda d: space_vector_single(sys_, d, g),
                                        args.trials, args.seed)
-        axis = Direction3(np.array([0.0, 0.0, 1.0]))
-        v = space_vector_single(sys_, axis, g)
-        simplex = simplex_from_observable(spin_along(sys_, axis), g)
+        # the three canonical-axis vectors form an orthonormal triad spanning
+        # the direction sphere's image inside the ball
+        triad = [space_vector_single(sys_, d, g) for d in (X1, X2, X3)]
+        v = triad[2]
+        simplex = simplex_from_observable(spin_along(sys_, X3), g)
         projections = eigenstate_projections(v, simplex)
         expected = np.sqrt(12.0 / (n_dim + 1)) / (n_dim - 1) * simplex.eigenvalues
         spacing_dev = float(np.max(np.abs(projections - expected)))
@@ -414,11 +416,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report["s"] = sys_.s
         report["n"] = n_dim
         report["scale_constant"] = direction_scale_single(n_dim)
-        # the three canonical-axis vectors form an orthonormal triad spanning
-        # the direction sphere's image inside the ball
-        triad = [space_vector_single(sys_, Direction3(np.eye(3)[i]), g).coords
-                 for i in range(3)]
-        report["axis_triad"] = [list(t) for t in triad]
+        report["axis_triad"] = [list(t.coords) for t in triad]
         checks["projection_spacing_deviation"] = spacing_dev
         checks["extremal_overlap"] = overlap
         checks["extremal_overlap_deviation"] = overlap_dev
@@ -429,9 +427,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         basis = "coupled" if args.prop == "2" else "product"
         deviations = isomorphism_sweep(
             lambda d: space_vector_composite(comp, d, basis, g), args.trials, args.seed)
-        axis = Direction3(np.array([0.0, 0.0, 1.0]))
-        v = space_vector_composite(comp, axis, "coupled", g)
-        w = space_vector_composite(comp, axis, "product", g)
+        v = space_vector_composite(comp, X3, "coupled", g)
+        w = space_vector_composite(comp, X3, "product", g)
         agreement = float(np.linalg.norm(v.coords - w.coords))
         report["s1"] = comp.s1
         report["s2"] = comp.s2

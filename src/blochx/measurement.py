@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bloch import BlochVector, DensityState, _bloch_rows, state_to_bloch
-from .generators import GeneratorSet, build_generators
+from .generators import GeneratorSet
 from .linalg import ValidationError, degeneracy_groups
 from .spin import SpinObservable
 
@@ -133,7 +133,8 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
         raise TypeError("eigenstates must be DensityState projectors")
     projectors = np.stack([state.matrix for state in states])
 
-    gram = np.einsum("aij,bji->ab", projectors, projectors)
+    # Tr(P_a P_b) as one matrix product of the flattened P_a and P_b^T
+    gram = projectors.reshape(n, -1) @ projectors.transpose(0, 2, 1).reshape(n, -1).T
     if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_ATOL:
         raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
@@ -313,6 +314,17 @@ def _post_state(m: MeasurementSimplex, group_index: int,
     return lueders_post_state(psi, group, m.projectors)
 
 
+def _records(weights: np.ndarray, m: MeasurementSimplex, seed: int, start: int,
+             count: int, psi: Optional[DensityState]) -> list[MeasurementRecord]:
+    """The records of draws ``[start, start + count)``, read in one stream call,
+    with one post-state built per winning outcome group."""
+    lam = barycentric_stream(m.dim_n, seed, start, count)
+    groups = m.vertex_group[_winning_vertices(lam, weights)].tolist()
+    posts = {gi: _post_state(m, gi, psi) for gi in dict.fromkeys(groups)}
+    return [MeasurementRecord(lambda_=row, outcome_index=gi, post_state=posts[gi])
+            for row, gi in zip(lam, groups)]
+
+
 def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
                     index: int = 0,
                     psi: Optional[DensityState] = None) -> MeasurementRecord:
@@ -321,23 +333,18 @@ def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
     ``psi`` is only needed when the simplex has degenerate outcome groups,
     whose post-states are projections of the pre-measurement state.
     """
-    weights = _sanitize_weights(w.weights)
-    lam = draw_disintegration_point(m.dim_n, seed, index)
-    vertex = int(_winning_vertices(lam, weights)[0])
-    group_index = int(m.vertex_group[vertex])
-    return MeasurementRecord(lambda_=lam, outcome_index=group_index,
-                             post_state=_post_state(m, group_index, psi))
+    return _records(_sanitize_weights(w.weights), m, seed, index, 1, psi)[0]
 
 
 def run_measurement(psi: DensityState, obs, samples: int, seed: int,
-                    generators: Optional[GeneratorSet] = None,
+                    generators: GeneratorSet,
                     trajectory_steps: Optional[int] = None) -> MeasurementStatistics:
     """Measure ``psi`` repeatedly and aggregate the outcome statistics.
 
     ``obs`` may be a :class:`SpinObservable`, an (eigenstates, eigenvalues)
-    pair, or a prebuilt :class:`MeasurementSimplex`.  Sample ``i`` draws
-    its disintegration point exactly as
-    ``sample_collapse(..., seed, index=i)`` would, so statistics are
+    pair, or a prebuilt :class:`MeasurementSimplex`, and ``generators`` the
+    basis of psi's dimension.  Sample ``i`` draws its disintegration point as
+    ``sample_collapse(..., seed, index=i)`` does, so statistics are
     reproducible sample-by-sample.  Reports per-outcome probabilities,
     empirical frequencies, binomial standard errors, the largest absolute
     deviation, and the first ``RECORD_COUNT`` (10) full records.
@@ -345,19 +352,14 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     Outcomes are counted in fixed windows of the stream, read in order, and
     no disintegration point is kept: memory does not grow with ``samples``,
     and the counts do not depend on the window size.  Only the recorded
-    samples have their points drawn again as barycentric rows, so each
-    record's ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
+    samples are drawn again, by :func:`sample_collapse`'s path in one call, so
+    each record's ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if isinstance(obs, MeasurementSimplex):
-        m = obs
-        g = generators if generators is not None else build_generators(m.dim_n)
-    else:
-        g = generators if generators is not None else build_generators(psi.dim)
-        m = simplex_from_observable(obs, g)
+    m = obs if isinstance(obs, MeasurementSimplex) else simplex_from_observable(obs, generators)
 
-    r = state_to_bloch(psi, g)
+    r = state_to_bloch(psi, generators)
     on = project_onto_simplex(r, m)
     weights = _sanitize_weights(on.weights)
 
@@ -372,16 +374,7 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     std_errors = np.sqrt(np.maximum(born * (1.0 - born), 0.0) / samples)
     max_dev = float(np.max(np.abs(empirical - born)))
 
-    lam = barycentric_stream(m.dim_n, seed, 0, min(RECORD_COUNT, samples))
-    group_wins = m.vertex_group[_winning_vertices(lam, weights)]
-    post_cache: dict[int, DensityState] = {}
-    records = []
-    for i in range(len(lam)):
-        gi = int(group_wins[i])
-        if gi not in post_cache:
-            post_cache[gi] = _post_state(m, gi, psi)
-        records.append(MeasurementRecord(lambda_=lam[i], outcome_index=gi,
-                                         post_state=post_cache[gi]))
+    records = _records(weights, m, seed, 0, min(RECORD_COUNT, samples), psi)
 
     trajectory = None
     if trajectory_steps is not None:

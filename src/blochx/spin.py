@@ -166,15 +166,13 @@ def cone_projection_range(s: float, mu: float) -> tuple[float, float]:
     return (height * height - radius * radius) / slant, slant
 
 
-def classical_resultant_range(s1: float = 0.5, s2: float = 0.5) -> tuple[float, float]:
+def classical_resultant_range() -> tuple[float, float]:
     """Length extremes of the sum of one vector from each of two spin-1/2
     cones with projection +1/2.
 
     ||a + b||^2 = 2 s(s+1) + 2(mu^2 + r^2 cos dphi) ranges over [1, 3]
     for s = mu = 1/2, so the resultant length spans [1, sqrt(3)].
     """
-    if (s1, s2) != (0.5, 0.5):
-        raise ValueError("only two spin-1/2 cones with projection +1/2 are supported")
     ssq = 0.5 * 1.5
     mu = 0.5
     r2 = ssq - mu * mu

@@ -115,7 +115,7 @@ def test_criterion_6_collapse_monte_carlo():
     # two-level case at polar angle pi/3: probabilities (3/4, 1/4)
     psi2 = pure_state_from_direction(np.pi / 3, 0.0)
     obs2 = spin_along(build_spin_system(0.5), X3)
-    stats2 = run_measurement(psi2, obs2, samples, seed=1001)
+    stats2 = run_measurement(psi2, obs2, samples, seed=1001, generators=build_generators(2))
     up_index = int(np.argmax(stats2.simplex.outcome_eigenvalues))
     angle_ok = (abs(stats2.empirical[up_index] - 0.75) < 0.01
                 and abs(stats2.empirical[1 - up_index] - 0.25) < 0.01)
@@ -126,7 +126,8 @@ def test_criterion_6_collapse_monte_carlo():
         sys_ = build_spin_system(s)
         obs = spin_along(sys_, Direction3.from_angles(1.1, 0.7))
         psi = random_density(sys_.dim, rng)
-        stats = run_measurement(psi, obs, samples, seed=seed)
+        stats = run_measurement(psi, obs, samples, seed=seed,
+                                generators=build_generators(sys_.dim))
         cases.append((stats.born, stats.empirical))
 
     ok = angle_ok
@@ -248,7 +249,7 @@ def test_criterion_11_cone_no_go_numbers():
     lo, hi = cone_projection_range(0.5, 0.5)
     interval_err = max(abs(lo - (-1 / (2 * np.sqrt(3)))), abs(hi - np.sqrt(3) / 2))
 
-    rlo, rhi = classical_resultant_range(0.5, 0.5)
+    rlo, rhi = classical_resultant_range()
     analytic_err = max(abs(rlo - 1.0), abs(rhi - np.sqrt(3)))
 
     rng = np.random.default_rng(111)

@@ -306,10 +306,11 @@ def _eigvalsh_spy():
 @given(n=st.integers(2, 64), strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_rank1_matches_the_validated_projector(n, strided, seed):
     v = _random_ket(n, np.random.default_rng(seed), strided)
-    trusted = DensityState._rank1(v).matrix
-    validated = DensityState(np.outer(v, v.conj())).matrix
-    assert trusted.dtype == validated.dtype and trusted.shape == validated.shape
-    assert trusted.tobytes() == validated.tobytes()
+    a = PureState(v).amplitudes
+    for ket, trusted in ((v, DensityState._rank1_rows(v[None])[0]), (a, PureState(v).projector())):
+        validated = DensityState(np.outer(ket, ket.conj())).matrix
+        assert trusted.matrix.dtype == validated.dtype and trusted.matrix.shape == validated.shape
+        assert trusted.matrix.tobytes() == validated.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,8 +318,11 @@ def test_rank1_matches_the_validated_projector(n, strided, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_rank1_rejects_a_non_unit_ket(n, factor, seed):
     v = factor * _random_ket(n, np.random.default_rng(seed), False)
-    with pytest.raises(ValueError, match="density matrix trace .* is not 1"):
-        DensityState._rank1(v)
+    with pytest.raises(ValueError, match="density matrix trace .* is not 1") as validated:
+        DensityState(np.outer(v, v.conj()))
+    with pytest.raises(ValueError) as trusted:
+        DensityState._rank1_rows(v[None])
+    assert str(trusted.value) == str(validated.value)
 
 
 @settings(max_examples=20, deadline=None)

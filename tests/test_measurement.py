@@ -383,7 +383,8 @@ class TestLuedersPostState:
 class TestRunMeasurement:
     def test_eigenstate_has_zero_deviation(self):
         obs = spin_along(build_spin_system(1.0), X3)
-        stats = run_measurement(obs.eigenstates[0], obs, samples=5000, seed=17)
+        stats = run_measurement(obs.eigenstates[0], obs, samples=5000, seed=17,
+                                generators=build_generators(3))
         assert stats.max_abs_deviation == 0.0
         assert np.array_equal(stats.counts, [5000, 0, 0])
 
@@ -391,13 +392,19 @@ class TestRunMeasurement:
         rng = np.random.default_rng(103)
         direction = Direction3.from_angles(1.1, 0.2)
         m, g = spin_simplex(1.0, direction)
+        obs = spin_along(build_spin_system(1.0), direction)
+        degenerate = simplex_from_observable((list(obs.eigenstates), [1.0, 0.0, 1.0]), g)
         psi = random_density(3, rng)
-        on = project_onto_simplex(state_to_bloch(psi, g), m)
-        stats = run_measurement(psi, m, samples=50, seed=19, generators=g)
-        for i, rec in enumerate(stats.records_sample):
-            single = sample_collapse(on, m, seed=19, index=i, psi=psi)
-            assert np.array_equal(rec.lambda_, single.lambda_)
-            assert rec.outcome_index == single.outcome_index
+        for simplex in (m, degenerate):
+            on = project_onto_simplex(state_to_bloch(psi, g), simplex)
+            stats = run_measurement(psi, simplex, samples=50, seed=19, generators=g)
+            # every outcome, the degenerate group's Lueders post-state included
+            assert {rec.outcome_index for rec in stats.records_sample} == set(range(simplex.n_outcomes))
+            for i, rec in enumerate(stats.records_sample):
+                single = sample_collapse(on, simplex, seed=19, index=i, psi=psi)
+                assert np.array_equal(rec.lambda_, single.lambda_)
+                assert rec.outcome_index == single.outcome_index
+                assert rec.post_state.matrix.tobytes() == single.post_state.matrix.tobytes()
 
     def test_convergence_within_binomial_bound(self):
         rng = np.random.default_rng(107)
@@ -451,7 +458,7 @@ class TestRunMeasurement:
         obs = spin_along(build_spin_system(0.5), X3)
         psi = pure_state_from_direction(0.3, 0.0)
         with pytest.raises(ValueError, match="sample"):
-            run_measurement(psi, obs, samples=0, seed=1)
+            run_measurement(psi, obs, samples=0, seed=1, generators=build_generators(2))
 
 
 CHUNK = measurement._CHUNK_SAMPLES

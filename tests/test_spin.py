@@ -176,7 +176,7 @@ class TestConeProjectionRange:
 
 class TestClassicalResultantRange:
     def test_analytic_range(self):
-        lo, hi = classical_resultant_range(0.5, 0.5)
+        lo, hi = classical_resultant_range()
         assert abs(lo - 1.0) < 1e-9
         assert abs(hi - np.sqrt(3)) < 1e-9
 
@@ -194,7 +194,3 @@ class TestClassicalResultantRange:
         lengths = np.linalg.norm(a + b, axis=1)
         assert lengths.min() >= lo - 1e-9 and lengths.max() <= hi + 1e-9
         assert lengths.min() < lo + 0.01 and lengths.max() > hi - 0.01
-
-    def test_rejects_other_spins(self):
-        with pytest.raises(ValueError, match="spin-1/2"):
-            classical_resultant_range(1.0, 0.5)

@@ -1,9 +1,12 @@
-"""The stacked eigenbasis pass against the one-state-at-a-time path.
+"""The stacked eigenbasis pass against its oracles.
 
 ``DensityState._rank1_rows`` and ``bloch._bloch_rows`` build a whole
-eigenbasis's projectors and coordinate rows in blocks.  Reports carry their
-last bits, so every comparison here is bitwise: the per-vertex
-``DensityState._rank1`` and ``state_to_bloch`` are the oracle.
+eigenbasis's projectors and coordinate rows in blocks, and a single state is
+their one-row case.  Reports carry their last bits, so every comparison here
+is bitwise: ``DensityState(np.outer(v, v.conj()))`` is the oracle for the
+projectors, and each coordinate row must equal its own one-row pass and, up to
+the sign of a zero, the einsum over the dense stack ``g.matrices`` (built up to
+N=24).
 """
 import tracemalloc
 
@@ -21,6 +24,8 @@ from blochx.linalg import eigh
 from blochx.measurement import simplex_from_observable
 from blochx.spin import X3, Direction3, build_spin_system, spin_along
 from conftest import random_hermitian
+
+DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 
 # tracemalloc peaks of one call at N=64 along X3 before the stacked pass,
 # when every vertex kept its own complex coordinate array until np.stack
@@ -42,10 +47,18 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _validated(ket):
+    return DensityState(np.outer(ket, ket.conj()))
+
+
 def _assert_rows_match_per_vertex(states, g):
     rows = _bloch_rows([p.matrix for p in states], g)
     assert rows.flags.c_contiguous
     assert _bits(rows) == _bits(np.stack([state_to_bloch(p, g).coords for p in states]))
+    if g.dim <= DENSE_MAX_N:
+        dense = [np.einsum("kij,ji->k", g.matrices, p.matrix) * (g.dim / (2.0 * g.c)) for p in states]
+        # equal values: a zero may carry the other sign in the einsum
+        assert np.array_equal(rows, np.stack(dense).real)
 
 
 def _direction(seed):
@@ -58,7 +71,7 @@ def test_frames_match_the_per_vertex_path(n, degenerate, seed):
     kets = _frame(n, np.random.default_rng(seed), degenerate)
     states = DensityState._rank1_rows(kets)
     for state, ket in zip(states, kets):
-        assert _bits(state.matrix) == _bits(DensityState._rank1(ket).matrix)
+        assert _bits(state.matrix) == _bits(_validated(ket).matrix)
     _assert_rows_match_per_vertex(states, build_generators(n))
     # a (k, N, N) stack gives the same rows as a list of matrices
     assert _bits(_bloch_rows(np.stack([p.matrix for p in states]), build_generators(n))) \
@@ -74,7 +87,7 @@ def test_spin_eigenbases_match_the_per_vertex_path(two_s, seed):
     obs = spin_along(sys_, d)
     es = eigh(sys_.component_along(d))
     for i, state in enumerate(obs.eigenstates):
-        assert _bits(state.matrix) == _bits(DensityState._rank1(es.column(i)).matrix)
+        assert _bits(state.matrix) == _bits(_validated(es.column(i)).matrix)
     _assert_rows_match_per_vertex(obs.eigenstates, g)
     per_vertex = np.stack([state_to_bloch(p, g).coords for p in obs.eigenstates])
     v = space_vector_single(sys_, d, g)
@@ -130,14 +143,14 @@ def test_outputs_do_not_depend_on_the_block_size(s, monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 64), factor=st.sampled_from([0.5, 0.999, 1.001, 2.0, np.nan]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_rank1_rows_rejects_a_non_unit_ket_as_rank1_does(n, factor, seed):
+def test_rank1_rows_rejects_a_non_unit_ket_as_density_state_does(n, factor, seed):
     rng = np.random.default_rng(seed)
     kets = np.array(_frame(n, rng, False))
     i = int(rng.integers(n))
     kets[i] *= factor
     # a NaN ket fails the Hermiticity check first
     with pytest.raises(ValueError, match="trace .* is not 1|not Hermitian") as one:
-        DensityState._rank1(kets[i])
+        _validated(kets[i])
     with pytest.raises(ValueError) as stacked:
         DensityState._rank1_rows(kets)
     assert str(stacked.value) == str(one.value)
@@ -160,6 +173,24 @@ def test_bloch_rows_fail_as_state_to_bloch_does(bad, error, position, monkeypatc
     with pytest.raises(type(one.value)) as stacked:
         _bloch_rows(matrices, g)
     assert str(stacked.value) == str(one.value)
+
+
+RESIDUE_BAD = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+NORM_BAD = np.diag([1.5, -0.5]).astype(complex)
+
+
+@pytest.mark.parametrize("first,second,error", (
+    (NORM_BAD, RESIDUE_BAD, "coordinate norm"),
+    (RESIDUE_BAD, NORM_BAD, "imaginary residue"),
+    # one row failing both checks reports its residue
+    (np.array([[1.5, 0.1], [0.0, -0.5]], dtype=complex), NORM_BAD, "imaginary residue"),
+))
+def test_bloch_rows_report_the_first_failing_row_of_a_block(first, second, error, monkeypatch):
+    g = build_generators(2)
+    good = spin_along(build_spin_system(0.5), X3).eigenstates[0].matrix
+    monkeypatch.setattr(bloch, "_BLOCK_BYTES", 16 * 2 * 2 * 3)  # blocks of three
+    with pytest.raises(ValueError, match=error):
+        _bloch_rows([good, good, good, good, first, second], g)
 
 
 def test_bloch_rows_checks_the_dimension():

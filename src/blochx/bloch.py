@@ -7,9 +7,9 @@ unit sphere, the maximally mixed state at the center, and for N > 2 most
 of the ball carries no state at all: the linear combination is always
 Hermitian with unit trace but need not be positive.
 
-Projectors (``DensityState._rank1_rows``) and coordinates (``_bloch_rows``) are
-each one stacked pass over rows, in blocks of at most 128 KiB; a single state is
-its one-row case, with the same checks and bits as a row of a whole eigenbasis.
+Coordinates (``_bloch_rows``) are one stacked pass over kets or matrices, in
+blocks of at most 128 KiB; kets become projectors (``_projectors``) a block at a
+time, and a single state is the one-row case, with the same checks and bits.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet, _generator_sum, _generator_traces
-from .linalg import HERMITICITY_ATOL, ValidationError, as_square_matrix, fix_phase, is_hermitian
+from .linalg import ValidationError, as_square_matrix, fix_phase, is_hermitian
 
 TRACE_ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
@@ -33,9 +33,9 @@ _BLOCK_BYTES = 128 * 1024
 @dataclass(frozen=True)
 class DensityState:
     """A validated operator-state: Hermitian within 1e-12, unit trace
-    within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_rank1_rows``
-    (v v† of each unit ket) and ``_psd(m)`` build states from matrices the
-    library made PSD, and skip only the last check."""
+    within 1e-12, smallest eigenvalue >= -1e-10.  The private ``_psd(m)``
+    builds a state from a matrix the library made PSD, and skips only the
+    last check; ``_wrap(m)`` skips every check."""
 
     matrix: np.ndarray
 
@@ -59,21 +59,6 @@ class DensityState:
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", m)
         return state
-
-    @classmethod
-    def _rank1_rows(cls, kets: np.ndarray) -> list[DensityState]:
-        """The projector v v† of every row v of ``kets``, checked a block at a
-        time, each matrix a view of its block; a failing one goes through ``_psd``."""
-        states, step = [], max(1, _BLOCK_BYTES // (16 * kets.shape[1] ** 2))
-        kets = np.ascontiguousarray(kets)  # strided rows made the products ~2x slower
-        for start in range(0, len(kets), step):
-            v = kets[start:start + step]
-            block = v[:, :, None] * v.conj()[:, None, :]
-            asym = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
-            off = np.abs(block.trace(axis1=1, axis2=2) - 1.0)
-            for m, ok in zip(block, (asym <= HERMITICITY_ATOL) & ~(off > TRACE_ATOL)):
-                states.append(cls._wrap(m) if ok else cls._psd(m))
-        return states
 
     @property
     def dim(self) -> int:
@@ -121,7 +106,7 @@ class PureState:
         return self.amplitudes.shape[0]
 
     def projector(self) -> DensityState:
-        return DensityState._rank1_rows(self.amplitudes[None])[0]
+        return DensityState._psd(_projectors(self.amplitudes[None])[0])
 
 
 def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
@@ -129,14 +114,21 @@ def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
     return BlochVector(g.dim, _bloch_rows(d.matrix[None], g)[0])
 
 
-def _bloch_rows(matrices, g: GeneratorSet) -> np.ndarray:
-    """``state_to_bloch(d, g).coords`` of each of ``matrices`` ((k, N, N) or N x N
-    arrays) as the rows of one C-contiguous array, a block at a time.  The first
-    failing matrix raises: ValidationError for an imaginary residue, else BlochVector's."""
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """The projector v v† of every row v of ``kets``, as one (k, N, N) stack."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+def _bloch_rows(states, g: GeneratorSet) -> np.ndarray:
+    """``state_to_bloch(d, g).coords`` of each of ``states`` ((k, N) kets, or (k, N, N)
+    or N x N matrices) as the rows of one C-contiguous array, a block at a time.  The
+    first failing matrix raises: ValidationError for an imaginary residue, else BlochVector's."""
     n, step = g.dim, max(1, _BLOCK_BYTES // (16 * g.dim ** 2))
-    rows = np.empty((len(matrices), n * n - 1))
+    rows = np.empty((len(states), n * n - 1))
     for start in range(0, len(rows), step):
-        block = np.asarray(matrices[start:start + step], dtype=complex)
+        block = np.asarray(states[start:start + step], dtype=complex)
+        if block.ndim == 2:
+            block = _projectors(block)
         if block.shape[1:] != (n, n):
             raise ValueError(f"dimension mismatch: state is {block.shape[-1]}, generators are {n}")
         raw = _generator_traces(block, g) * (n / (2.0 * g.c))

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .bloch import (BlochVector, DensityState, bloch_to_operator, is_state,
-                    purity, state_to_bloch)
+from .bloch import (BlochVector, DensityState, _projectors, bloch_to_operator,
+                    is_state, purity, state_to_bloch)
 from .composite import build_composite, coupled_basis, product_basis
 from .correspondence import (direction_scale_composite, direction_scale_single,
                              eigenstate_projections, isomorphism_sweep,
@@ -305,7 +305,7 @@ def _cmd_spin(args: argparse.Namespace) -> int:
         "direction": list(args.direction.components),
         "matrix": obs.matrix,
         "eigenvalues": list(obs.eigenvalues),
-        "eigenstates": [p.matrix for p in obs.eigenstates],
+        "eigenstates": _projectors(obs.kets),
     }, args)
     return 0
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import DensityState, PureState, projector_to_ket
+from .bloch import DensityState, PureState, _projectors, projector_to_ket
 from .linalg import HermitianEigenSystem, degeneracy_groups, eigh, fix_phase
 from .spin import Direction3, SpinSystem, build_spin_system, spin_along
 
@@ -75,10 +75,10 @@ class CoupledBasis:
 
     entries: tuple[CoupledEntry, ...]
 
-    def eigensystem(self) -> tuple[list, np.ndarray]:
-        """Eigenstate projectors and total-component eigenvalues, ready to
-        feed a measurement simplex."""
-        return (DensityState._rank1_rows(np.stack([e.state.amplitudes for e in self.entries])),
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kets, as the rows of one array, and the total-component
+        eigenvalues, ready to feed a measurement simplex."""
+        return (np.stack([e.state.amplitudes for e in self.entries]),
                 np.array([e.mu for e in self.entries]))
 
 
@@ -96,8 +96,8 @@ class ProductBasis:
 
     entries: tuple[ProductEntry, ...]
 
-    def eigensystem(self) -> tuple[list, np.ndarray]:
-        return (DensityState._rank1_rows(np.stack([e.state.amplitudes for e in self.entries])),
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.stack([e.state.amplitudes for e in self.entries]),
                 np.array([e.mu1 + e.mu2 for e in self.entries]))
 
 
@@ -144,8 +144,9 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     """Pair up the one-entity eigenstates along ``n``."""
     obs1 = spin_along(c.system1, n)
     obs2 = spin_along(c.system2, n)
-    kets1 = np.stack([projector_to_ket(p).amplitudes for p in obs1.eigenstates])
-    kets2 = np.stack([projector_to_ket(p).amplitudes for p in obs2.eigenstates])
+    # the round trip through each projector sets last bits that compose reports carry
+    kets1, kets2 = (np.stack([projector_to_ket(DensityState._wrap(p)).amplitudes
+                              for p in _projectors(obs.kets)]) for obs in (obs1, obs2))
     # row i * N2 + j is np.kron(kets1[i], kets2[j]), the same products
     products = (kets1[:, None, :, None] * kets2[None, :, None, :]).reshape(c.dim, c.dim)
     mu1, mu2 = np.meshgrid(obs1.eigenvalues, obs2.eigenvalues, indexing="ij")

@@ -8,7 +8,7 @@ span an isomorphic copy of the direction sphere inside the ball.  The
 eigenstate vertices project onto this axis at equally spaced heights
 proportional to their eigenvalues, while the axis itself represents a
 state only in the two-level case.  Each vector takes the coordinate rows
-of its whole eigenbasis from one stacked pass (``bloch._bloch_rows``).
+of its whole eigenbasis from one stacked pass over its kets (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ def space_vector_single(sys: SpinSystem, n: Direction3, g: GeneratorSet) -> Spac
     """Direction representative of a single spin entity: the normalized
     eigenvalue-weighted sum of its eigenstate vectors."""
     obs = spin_along(sys, n)
-    vertices = _bloch_rows([p.matrix for p in obs.eigenstates], g)
+    vertices = _bloch_rows(obs.kets, g)
     scale = direction_scale_single(sys.dim)
     return SpaceVector(dim_n=sys.dim, coords=scale * (obs.eigenvalues @ vertices),
                        scale=scale, source=f"single({sys.s})")
@@ -71,12 +71,12 @@ def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
     The two constructions give the same vector."""
     scale = direction_scale_composite(c.system1.dim, c.system2.dim)
     if basis == "coupled":
-        states, weights = coupled_basis(c, n).eigensystem()
+        kets, weights = coupled_basis(c, n).eigensystem()
     elif basis == "product":
-        states, weights = product_basis(c, n).eigensystem()
+        kets, weights = product_basis(c, n).eigensystem()
     else:
         raise ValueError(f"basis must be 'coupled' or 'product', got {basis!r}")
-    vertices = _bloch_rows([p.matrix for p in states], g)
+    vertices = _bloch_rows(kets, g)
     return SpaceVector(dim_n=c.dim, coords=scale * (weights @ vertices),
                        scale=scale, source=f"{basis}({c.s1},{c.s2})")
 

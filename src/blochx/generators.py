@@ -110,7 +110,7 @@ def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
     d = a.diagonal(axis1=-2, axis2=-1)
     # each diagonal entry is scaled before it is summed, left to right, as
     # np.einsum over the dense stack sums it, so the traces equal that
-    # contraction bit for bit
+    # contraction by value (a zero may carry the other sign)
     head = np.cumsum(norm[:, None] * d[..., None, :], axis=-1).diagonal(axis1=-2, axis2=-1)
     return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[..., 1:]], -1)
 

@@ -16,8 +16,8 @@ disintegration of the simplex at a uniformly distributed interior point
 whose containing sub-simplex selects the outcome, and a deterministic
 return to the appropriate final state (an eigenstate vertex, or the
 renormalized projection onto the eigenspace for a degenerate outcome).
-The simplex vertices come from one stacked coordinate pass over the
-eigenstate projectors (``bloch._bloch_rows``).
+The simplex vertices come from one stacked coordinate pass over the projectors
+of the eigenbasis kets (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bloch import BlochVector, DensityState, _bloch_rows, state_to_bloch
+from .bloch import BlochVector, DensityState, _bloch_rows, _projectors, state_to_bloch
 from .generators import GeneratorSet
 from .linalg import ValidationError, degeneracy_groups
 from .spin import SpinObservable
@@ -111,27 +111,23 @@ class MeasurementStatistics:
 def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> MeasurementSimplex:
     """Build the eigenstate simplex of an observable.
 
-    ``obs`` is either a :class:`SpinObservable` or an
-    ``(eigenstates, eigenvalues)`` pair where the eigenstates are rank-1
-    :class:`DensityState` projectors forming an orthonormal family; they
-    are used as given, and any other type raises TypeError.
-    Vertices are stored sorted by eigenvalue ascending (stable).
+    ``obs`` is either a :class:`SpinObservable` or a ``(kets, eigenvalues)``
+    pair whose N x N ``kets`` hold an orthonormal eigenbasis as rows; any
+    other shape raises ValueError.  Vertices and the projectors v v† of the
+    kets are stored sorted by eigenvalue ascending (stable).
     """
     if isinstance(obs, SpinObservable):
-        states, values = obs.eigenstates, obs.eigenvalues
+        kets, values = obs.kets, obs.eigenvalues
     else:
-        states, values = obs
-    values = np.asarray(values, dtype=float)
+        kets, values = obs
+    kets, values = np.asarray(kets, dtype=complex), np.asarray(values, dtype=float)
     n = g.dim
-    if len(states) != n or values.shape != (n,):
+    if kets.shape != (n, n) or values.shape != (n,):
         raise ValueError(f"expected {n} eigenstates and eigenvalues for N={n}")
 
     order = np.argsort(values, kind="stable")
     values = values[order]
-    states = [states[i] for i in order]
-    if not all(isinstance(state, DensityState) for state in states):
-        raise TypeError("eigenstates must be DensityState projectors")
-    projectors = np.stack([state.matrix for state in states])
+    projectors = _projectors(kets[order])
 
     # Tr(P_a P_b) as one matrix product of the flattened P_a and P_b^T
     gram = projectors.reshape(n, -1) @ projectors.transpose(0, 2, 1).reshape(n, -1).T
@@ -306,7 +302,7 @@ def _post_state(m: MeasurementSimplex, group_index: int,
                 psi: Optional[DensityState]) -> DensityState:
     group = m.degeneracy_groups[group_index]
     if len(group) == 1:
-        # simplex_from_observable took this projector as a validated DensityState
+        # v v† of a ket that passed simplex_from_observable's orthonormality check
         return DensityState._psd(m.projectors[group[0]])
     if psi is None:
         raise ValueError("degenerate outcome requires the pre-measurement state "
@@ -341,13 +337,12 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
                     trajectory_steps: Optional[int] = None) -> MeasurementStatistics:
     """Measure ``psi`` repeatedly and aggregate the outcome statistics.
 
-    ``obs`` may be a :class:`SpinObservable`, an (eigenstates, eigenvalues)
-    pair, or a prebuilt :class:`MeasurementSimplex`, and ``generators`` the
-    basis of psi's dimension.  Sample ``i`` draws its disintegration point as
-    ``sample_collapse(..., seed, index=i)`` does, so statistics are
-    reproducible sample-by-sample.  Reports per-outcome probabilities,
-    empirical frequencies, binomial standard errors, the largest absolute
-    deviation, and the first ``RECORD_COUNT`` (10) full records.
+    ``obs`` may be a :class:`SpinObservable`, a (kets, eigenvalues) pair, or a
+    prebuilt :class:`MeasurementSimplex`, and ``generators`` the basis of psi's
+    dimension.  Sample ``i`` draws its disintegration point as ``sample_collapse(...,
+    seed, index=i)`` does, so statistics are reproducible sample-by-sample.  Reports
+    per-outcome probabilities, empirical frequencies, binomial standard errors, the
+    largest absolute deviation, and the first ``RECORD_COUNT`` (10) full records.
 
     Outcomes are counted in fixed windows of the stream, read in order, and
     no disintegration point is kept: memory does not grow with ``samples``,

@@ -14,12 +14,15 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def ket_state(ket) -> DensityState:
+    """The validated operator-state of a ket: the oracle for its projector."""
+    return DensityState(np.outer(ket, ket.conj()))
+
+
 def random_observable_frame(n: int, rng: np.random.Generator):
-    """A random non-degenerate observable: eigenstates from a random
-    Hermitian matrix, eigenvalues 0..n-1."""
-    es = eigh(random_hermitian(n, rng))
-    states = [DensityState(np.outer(es.column(i), es.column(i).conj())) for i in range(n)]
-    return states, np.arange(n, dtype=float)
+    """A random non-degenerate observable: the eigenstate kets of a random
+    Hermitian matrix as rows, eigenvalues 0..n-1."""
+    return eigh(random_hermitian(n, rng)).eigenvectors.T, np.arange(n, dtype=float)
 
 
 def nested_lists(x):

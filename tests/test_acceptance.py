@@ -95,8 +95,8 @@ def test_criterion_5_born_rule_triple_agreement():
     for n in (2, 3, 4, 5):
         g = build_generators(n)
         for _ in range(200):
-            states, values = random_observable_frame(n, rng)
-            m = simplex_from_observable((states, values), g)
+            kets, values = random_observable_frame(n, rng)
+            m = simplex_from_observable((kets, values), g)
             psi = random_ket(n, rng).projector()
             r = state_to_bloch(psi, g)
             barycentric = born_probabilities(psi, m, g)
@@ -145,8 +145,8 @@ def test_criterion_7_degenerate_measurement():
     comp = build_composite(0.5, 0.5)
     g = build_generators(4)
     direction = Direction3.from_angles(0.9, 0.2)
-    states, values = coupled_basis(comp, direction).eigensystem()
-    m = simplex_from_observable((states, values), g)
+    kets, values = coupled_basis(comp, direction).eigensystem()
+    m = simplex_from_observable((kets, values), g)
     fused = [grp for grp in m.degeneracy_groups if len(grp) == 2]
     group_ok = len(fused) == 1 and np.allclose(m.outcome_eigenvalues, [-1, 0, 1])
 

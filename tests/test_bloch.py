@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochx.bloch import (BlochVector, DensityState, PureState,
+from blochx.bloch import (BlochVector, DensityState, PureState, _projectors,
                           bloch_to_operator, is_state, projector_to_ket,
                           pure_state_from_direction, purity, random_density,
                           random_ket, state_to_bloch)
@@ -17,7 +17,7 @@ from blochx.linalg import ValidationError, eigh
 from blochx.measurement import (lueders_post_state, run_measurement,
                                 simplex_from_observable)
 from blochx.spin import X1, X3, Direction3, build_spin_system, spin_along
-from conftest import random_hermitian
+from conftest import ket_state, random_hermitian
 
 
 def unit_vector(n, index):
@@ -307,10 +307,10 @@ def _eigvalsh_spy():
 def test_rank1_matches_the_validated_projector(n, strided, seed):
     v = _random_ket(n, np.random.default_rng(seed), strided)
     a = PureState(v).amplitudes
-    for ket, trusted in ((v, DensityState._rank1_rows(v[None])[0]), (a, PureState(v).projector())):
-        validated = DensityState(np.outer(ket, ket.conj())).matrix
-        assert trusted.matrix.dtype == validated.dtype and trusted.matrix.shape == validated.shape
-        assert trusted.matrix.tobytes() == validated.tobytes()
+    for ket, trusted in ((v, _projectors(v[None])[0]), (a, PureState(v).projector().matrix)):
+        validated = ket_state(ket).matrix
+        assert trusted.dtype == validated.dtype and trusted.shape == validated.shape
+        assert trusted.tobytes() == validated.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,9 +319,10 @@ def test_rank1_matches_the_validated_projector(n, strided, seed):
 def test_rank1_rejects_a_non_unit_ket(n, factor, seed):
     v = factor * _random_ket(n, np.random.default_rng(seed), False)
     with pytest.raises(ValueError, match="density matrix trace .* is not 1") as validated:
-        DensityState(np.outer(v, v.conj()))
+        ket_state(v)
+    # PureState.projector's path, which its own norm check keeps such kets from
     with pytest.raises(ValueError) as trusted:
-        DensityState._rank1_rows(v[None])
+        DensityState._psd(_projectors(v[None])[0])
     assert str(trusted.value) == str(validated.value)
 
 

@@ -14,7 +14,7 @@ from blochx.bloch import pure_state_from_direction
 from blochx.cli import main, parse_args
 from blochx.linalg import ValidationError
 from blochx.serialize import dumps, matrix_from_json, matrix_to_json
-from conftest import nested_lists
+from conftest import ket_state, nested_lists
 
 
 SRC_ROOT = Path(blochx.__file__).resolve().parents[1]
@@ -261,7 +261,7 @@ class TestMeasure:
         obs = spin.spin_along(spin.build_spin_system(1.5),
                               cli._parse_direction_flag(direction))
         state = tmp_path / "eigenstate.json"
-        write_state(state, obs.eigenstates[0].matrix)
+        write_state(state, ket_state(obs.kets[0]).matrix)
         out = tmp_path / "rep.json"
         assert main(["measure", "--s", "1.5", "--direction=" + direction,
                      "--state", str(state), "--samples", "1000",

@@ -189,8 +189,8 @@ class TestSpaceVectorComposite:
         g = build_generators(4)
         n = Direction3.from_angles(0.4, 1.6)
         v = space_vector_composite(c, n, "coupled", g)
-        states, values = coupled_basis(c, n).eigensystem()
-        m = simplex_from_observable((states, values), g)
+        kets, values = coupled_basis(c, n).eigensystem()
+        m = simplex_from_observable((kets, values), g)
         proj = eigenstate_projections(v, m)
         scale = direction_scale_composite(2, 2)
         expected = (4 * scale / 3) * m.eigenvalues

@@ -17,7 +17,7 @@ from blochx.measurement import (OnSimplexState,
                                 run_measurement, sample_collapse,
                                 simplex_from_observable)
 from blochx.spin import Direction3, X3, build_spin_system, spin_along
-from conftest import random_observable_frame
+from conftest import ket_state, random_observable_frame
 
 
 def spin_simplex(s, direction=X3):
@@ -68,9 +68,9 @@ class TestSimplexFromObservable:
         g = build_generators(3)
         obs = spin_along(build_spin_system(1.0), X3)
         # feed the eigenstates out of order with a repeated eigenvalue
-        states = [obs.eigenstates[2], obs.eigenstates[0], obs.eigenstates[1]]
+        kets = obs.kets[[2, 0, 1]]
         values = [1.0, 0.0, 0.0]
-        m = simplex_from_observable((states, values), g)
+        m = simplex_from_observable((kets, values), g)
         assert np.allclose(m.eigenvalues, [0.0, 0.0, 1.0], atol=0)
         assert m.degeneracy_groups == ((0, 1), (2,))
         assert list(m.vertex_group) == [0, 0, 1]
@@ -93,21 +93,36 @@ class TestSimplexFromObservable:
                               for p in m.projectors])
         assert np.array_equal(m.vertices, rewrapped)
 
-    def test_rejects_eigenstates_that_are_not_density_states(self):
-        g = build_generators(2)
-        with pytest.raises(TypeError, match="DensityState"):
-            simplex_from_observable(([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
-                                     [0.0, 1.0]), g)
+    @pytest.mark.parametrize("factor", (0.999, 1.001))
+    @pytest.mark.parametrize("frame", ["random", "spin"])
+    def test_rejects_a_ket_off_unit_norm(self, frame, factor):
+        g = build_generators(5)
+        if frame == "random":
+            kets, values = random_observable_frame(5, np.random.default_rng(13))
+        else:
+            obs = spin_along(build_spin_system(2.0), Direction3.from_angles(0.7, 0.2))
+            kets, values = obs.kets, obs.eigenvalues
+        kets = np.array(kets)
+        kets[3] *= factor
+        with pytest.raises(ValidationError, match="orthonormal"):
+            simplex_from_observable((kets, values), g)
+
+    @pytest.mark.parametrize("shape", ((3, 4), (5, 4), (4, 5), (4,), (4, 4, 4)))
+    def test_rejects_kets_of_the_wrong_shape(self, shape):
+        g = build_generators(4)
+        kets = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match="expected 4 eigenstates and eigenvalues for N=4"):
+            simplex_from_observable((kets, np.arange(4.0)), g)
 
     def test_rejects_non_orthonormal_family(self):
         g = build_generators(2)
-        up = DensityState(np.diag([1.0, 0.0]))
+        up = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="orthonormal"):
             simplex_from_observable(([up, up], [0.0, 1.0]), g)
 
     def test_validation_failures_have_their_own_type(self, monkeypatch):
         g = build_generators(2)
-        up = DensityState(np.diag([1.0, 0.0]))
+        up = np.array([1.0, 0.0])
         with pytest.raises(ValidationError, match="orthonormal"):
             simplex_from_observable(([up, up], [0.0, 1.0]), g)
         obs = spin_along(build_spin_system(0.5), X3)
@@ -168,7 +183,7 @@ class TestBornProbabilities:
     def test_eigenstate_is_certain(self):
         m, g = spin_simplex(1.0)
         obs = spin_along(build_spin_system(1.0), X3)
-        p = born_probabilities(obs.eigenstates[1], m, g)
+        p = born_probabilities(ket_state(obs.kets[1]), m, g)
         assert np.allclose(p, [0, 1, 0], atol=1e-12)
 
     def test_two_level_equator(self):
@@ -188,7 +203,7 @@ class TestBornProbabilities:
     def test_grouped_probabilities_sum_members(self):
         g = build_generators(3)
         obs = spin_along(build_spin_system(1.0), X3)
-        m = simplex_from_observable((list(obs.eigenstates), [1.0, 0.0, 1.0]), g)
+        m = simplex_from_observable((obs.kets, [1.0, 0.0, 1.0]), g)
         rng = np.random.default_rng(73)
         psi = random_density(3, rng)
         per_vertex = born_probabilities(psi, m, g)
@@ -202,8 +217,8 @@ class TestBornProbabilities:
         rng = np.random.default_rng(100 + n)
         g = build_generators(n)
         for _ in range(20):
-            states, values = random_observable_frame(n, rng)
-            m = simplex_from_observable((states, values), g)
+            kets, values = random_observable_frame(n, rng)
+            m = simplex_from_observable((kets, values), g)
             psi = random_ket(n, rng).projector()
             r = state_to_bloch(psi, g)
             barycentric = born_probabilities(psi, m, g)
@@ -270,7 +285,7 @@ class TestSampleCollapse:
     def test_eigenstate_is_deterministic(self):
         m, g = spin_simplex(1.0)
         obs = spin_along(build_spin_system(1.0), X3)
-        on = project_onto_simplex(state_to_bloch(obs.eigenstates[2], g), m)
+        on = project_onto_simplex(state_to_bloch(ket_state(obs.kets[2]), g), m)
         for index in range(64):
             rec = sample_collapse(on, m, seed=3, index=index)
             assert rec.outcome_index == 2
@@ -340,7 +355,7 @@ class TestSampleCollapse:
     def test_degenerate_outcome_requires_state(self):
         g = build_generators(3)
         obs = spin_along(build_spin_system(1.0), X3)
-        m = simplex_from_observable((list(obs.eigenstates), [1.0, 0.0, 0.0]), g)
+        m = simplex_from_observable((obs.kets, [1.0, 0.0, 0.0]), g)
         psi = DensityState(np.eye(3) / 3)
         on = project_onto_simplex(state_to_bloch(psi, g), m)
         with pytest.raises(ValueError, match="pre-measurement"):
@@ -383,7 +398,7 @@ class TestLuedersPostState:
 class TestRunMeasurement:
     def test_eigenstate_has_zero_deviation(self):
         obs = spin_along(build_spin_system(1.0), X3)
-        stats = run_measurement(obs.eigenstates[0], obs, samples=5000, seed=17,
+        stats = run_measurement(ket_state(obs.kets[0]), obs, samples=5000, seed=17,
                                 generators=build_generators(3))
         assert stats.max_abs_deviation == 0.0
         assert np.array_equal(stats.counts, [5000, 0, 0])
@@ -393,7 +408,7 @@ class TestRunMeasurement:
         direction = Direction3.from_angles(1.1, 0.2)
         m, g = spin_simplex(1.0, direction)
         obs = spin_along(build_spin_system(1.0), direction)
-        degenerate = simplex_from_observable((list(obs.eigenstates), [1.0, 0.0, 1.0]), g)
+        degenerate = simplex_from_observable((obs.kets, [1.0, 0.0, 1.0]), g)
         psi = random_density(3, rng)
         for simplex in (m, degenerate):
             on = project_onto_simplex(state_to_bloch(psi, g), simplex)
@@ -433,7 +448,7 @@ class TestRunMeasurement:
         rng = np.random.default_rng(113)
         g = build_generators(3)
         obs = spin_along(build_spin_system(1.0), Direction3.from_angles(1.4, 0.3))
-        m = simplex_from_observable((list(obs.eigenstates), [1.0, 0.0, 1.0]), g)
+        m = simplex_from_observable((obs.kets, [1.0, 0.0, 1.0]), g)
         assert m.degeneracy_groups == ((0,), (1, 2))
         psi = random_ket(3, rng).projector()
         stats = run_measurement(psi, m, samples=100_000, seed=37, generators=g)
@@ -502,8 +517,8 @@ def coupled_half_half():
 def test_counts_match_the_whole_array_path(n, kind, samples, seed):
     rng = np.random.default_rng(seed)
     g = build_generators(n)
-    states, values = random_observable_frame(n, rng)
-    m = simplex_from_observable((states, values), g)
+    kets, values = random_observable_frame(n, rng)
+    m = simplex_from_observable((kets, values), g)
     stats = run_measurement(sampled_state(kind, m, rng), m, samples, seed, generators=g)
     assert np.array_equal(stats.counts, stream_counts(stats, seed))
 

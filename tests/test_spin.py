@@ -8,7 +8,7 @@ from blochx.linalg import ValidationError
 from blochx.spin import (Direction3, X1, X3, build_spin_system,
                          classical_resultant_range, cone_parameters,
                          cone_projection_range, spin_along)
-from conftest import PAULI_1, PAULI_2, PAULI_3
+from conftest import PAULI_1, PAULI_2, PAULI_3, ket_state
 
 
 def sample_cone_vectors(s, mu, phis):
@@ -83,15 +83,15 @@ class TestSpinAlong:
     def test_axis_observable_is_diagonal(self):
         obs = spin_along(build_spin_system(0.5), X3)
         assert np.allclose(obs.eigenvalues, [-0.5, 0.5], atol=0)
-        assert np.allclose(obs.eigenstates[0].matrix, np.diag([0.0, 1.0]), atol=1e-14)
-        assert np.allclose(obs.eigenstates[1].matrix, np.diag([1.0, 0.0]), atol=1e-14)
+        assert np.allclose(ket_state(obs.kets[0]).matrix, np.diag([0.0, 1.0]), atol=1e-14)
+        assert np.allclose(ket_state(obs.kets[1]).matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_top_eigenstate_matches_spherical_form(self):
         sys_ = build_spin_system(0.5)
         for theta, phi in ((0.4, 0.9), (1.9, -2.2), (2.8, 0.0)):
             obs = spin_along(sys_, Direction3.from_angles(theta, phi))
             expected = pure_state_from_direction(theta, phi).matrix
-            assert np.max(np.abs(obs.eigenstates[1].matrix - expected)) < 1e-12
+            assert np.max(np.abs(ket_state(obs.kets[1]).matrix - expected)) < 1e-12
 
     def test_spin_one_transverse_spectrum(self):
         obs = spin_along(build_spin_system(1.0), X1)
@@ -115,7 +115,7 @@ class TestSpinAlong:
 
     def test_eigenstates_resolve_identity(self):
         obs = spin_along(build_spin_system(1.0), Direction3.from_angles(1.0, 0.5))
-        total = sum(p.matrix for p in obs.eigenstates)
+        total = sum(ket_state(k).matrix for k in obs.kets)
         assert np.max(np.abs(total - np.eye(3))) < 1e-12
 
 

@@ -1,12 +1,12 @@
 """The stacked eigenbasis pass against its oracles.
 
-``DensityState._rank1_rows`` and ``bloch._bloch_rows`` build a whole
-eigenbasis's projectors and coordinate rows in blocks, and a single state is
-their one-row case.  Reports carry their last bits, so every comparison here
-is bitwise: ``DensityState(np.outer(v, v.conj()))`` is the oracle for the
-projectors, and each coordinate row must equal its own one-row pass and, up to
-the sign of a zero, the einsum over the dense stack ``g.matrices`` (built up to
-N=24).
+``bloch._bloch_rows`` builds a whole eigenbasis's coordinate rows in blocks,
+straight from its kets or from matrices, and a single state is its one-row
+case.  Reports carry their last bits, so every comparison here is bitwise:
+``DensityState(np.outer(v, v.conj()))`` is the oracle for the projectors
+``bloch._projectors`` forms, and each coordinate row must equal its own one-row
+pass and, up to the sign of a zero, the einsum over the dense stack
+``g.matrices`` (built up to N=24).
 """
 import tracemalloc
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochx import bloch, composite
-from blochx.bloch import DensityState, PureState, _bloch_rows, projector_to_ket, state_to_bloch
+from blochx.bloch import DensityState, PureState, _bloch_rows, _projectors, projector_to_ket, state_to_bloch
 from blochx.composite import build_composite, coupled_basis, product_basis
 from blochx.correspondence import (direction_scale_composite, direction_scale_single,
                                    space_vector_composite, space_vector_single)
@@ -23,13 +23,17 @@ from blochx.generators import build_generators
 from blochx.linalg import eigh
 from blochx.measurement import simplex_from_observable
 from blochx.spin import X3, Direction3, build_spin_system, spin_along
-from conftest import random_hermitian
+from conftest import ket_state, random_hermitian
 
 DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 
-# tracemalloc peaks of one call at N=64 along X3 before the stacked pass,
-# when every vertex kept its own complex coordinate array until np.stack
-PER_VERTEX_PEAK_BYTES = {"single": 10_598_942, "coupled": 10_535_652, "product": 10_544_129}
+# tracemalloc peaks of one call at N=64 along X3: a direction vector took 10.6 MB
+# when every vertex kept its own coordinate array until np.stack, and about 7.1 MB
+# while all N projectors were built before their rows; from the kets, one block's
+# projectors at a time, it takes about 3.0 MB.  A simplex, which keeps its N
+# projectors, took 12.7 MB from per-eigenstate projectors and about 8.7 MB from kets.
+N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_000,
+                  "simplex": 10_000_000}
 
 
 def _frame(n, rng, degenerate):
@@ -47,12 +51,9 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _validated(ket):
-    return DensityState(np.outer(ket, ket.conj()))
-
-
-def _assert_rows_match_per_vertex(states, g):
-    rows = _bloch_rows([p.matrix for p in states], g)
+def _assert_rows_match_per_vertex(kets, g):
+    rows = _bloch_rows(kets, g)
+    states = [ket_state(ket) for ket in kets]
     assert rows.flags.c_contiguous
     assert _bits(rows) == _bits(np.stack([state_to_bloch(p, g).coords for p in states]))
     if g.dim <= DENSE_MAX_N:
@@ -69,13 +70,25 @@ def _direction(seed):
 @given(n=st.integers(2, 64), degenerate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_frames_match_the_per_vertex_path(n, degenerate, seed):
     kets = _frame(n, np.random.default_rng(seed), degenerate)
-    states = DensityState._rank1_rows(kets)
-    for state, ket in zip(states, kets):
-        assert _bits(state.matrix) == _bits(_validated(ket).matrix)
-    _assert_rows_match_per_vertex(states, build_generators(n))
+    projectors = _projectors(kets)
+    for p, ket in zip(projectors, kets):
+        assert _bits(p) == _bits(ket_state(ket).matrix)
+    _assert_rows_match_per_vertex(kets, build_generators(n))
     # a (k, N, N) stack gives the same rows as a list of matrices
-    assert _bits(_bloch_rows(np.stack([p.matrix for p in states]), build_generators(n))) \
-        == _bits(_bloch_rows([p.matrix for p in states], build_generators(n)))
+    assert _bits(_bloch_rows(projectors, build_generators(n))) \
+        == _bits(_bloch_rows(list(projectors), build_generators(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), degenerate=st.booleans(), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kets_give_the_rows_of_their_projectors(n, degenerate, strided, seed):
+    kets = _frame(n, np.random.default_rng(seed), degenerate)
+    if not strided:
+        kets = np.ascontiguousarray(kets)
+    assert kets.flags.c_contiguous != strided
+    g = build_generators(n)
+    assert _bits(_bloch_rows(kets, g)) == _bits(_bloch_rows(_projectors(kets), g))
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,10 +99,11 @@ def test_spin_eigenbases_match_the_per_vertex_path(two_s, seed):
     d = _direction(seed)
     obs = spin_along(sys_, d)
     es = eigh(sys_.component_along(d))
-    for i, state in enumerate(obs.eigenstates):
-        assert _bits(state.matrix) == _bits(_validated(es.column(i)).matrix)
-    _assert_rows_match_per_vertex(obs.eigenstates, g)
-    per_vertex = np.stack([state_to_bloch(p, g).coords for p in obs.eigenstates])
+    assert obs.kets.flags.c_contiguous and _bits(obs.kets) == _bits(np.ascontiguousarray(es.eigenvectors.T))
+    for i, p in enumerate(_projectors(obs.kets)):
+        assert _bits(p) == _bits(ket_state(es.column(i)).matrix)
+    _assert_rows_match_per_vertex(obs.kets, g)
+    per_vertex = np.stack([state_to_bloch(ket_state(k), g).coords for k in obs.kets])
     v = space_vector_single(sys_, d, g)
     assert _bits(v.coords) == _bits(direction_scale_single(sys_.dim) * (obs.eigenvalues @ per_vertex))
     m = simplex_from_observable(obs, g)
@@ -103,18 +117,19 @@ def test_composite_bases_match_the_per_vertex_path(two_s1, two_s2, seed):
     c = build_composite(two_s1 / 2, two_s2 / 2)
     g = build_generators(c.dim)
     d = _direction(seed)
-    kets = [[projector_to_ket(p) for p in spin_along(sys_, d).eigenstates]
-            for sys_ in (c.system1, c.system2)]
+    entity_kets = [[projector_to_ket(ket_state(k)) for k in spin_along(sys_, d).kets]
+                   for sys_ in (c.system1, c.system2)]
     product = product_basis(c, d)
-    for e, (a, b) in zip(product.entries, ((a, b) for a in kets[0] for b in kets[1])):
+    for e, (a, b) in zip(product.entries, ((a, b) for a in entity_kets[0] for b in entity_kets[1])):
         assert _bits(e.state.amplitudes) == _bits(PureState(np.kron(a.amplitudes, b.amplitudes)).amplitudes)
     scale = direction_scale_composite(c.system1.dim, c.system2.dim)
     for name, basis in (("coupled", coupled_basis(c, d)), ("product", product)):
-        states, weights = basis.eigensystem()
+        kets, weights = basis.eigensystem()
+        assert _bits(kets) == _bits(np.stack([e.state.amplitudes for e in basis.entries]))
         per_entry = [e.state.projector() for e in basis.entries]
-        for state, expected in zip(states, per_entry):
-            assert _bits(state.matrix) == _bits(expected.matrix)
-        _assert_rows_match_per_vertex(states, g)
+        for p, expected in zip(_projectors(kets), per_entry):
+            assert _bits(p) == _bits(expected.matrix)
+        _assert_rows_match_per_vertex(kets, g)
         per_vertex = np.stack([state_to_bloch(p, g).coords for p in per_entry])
         v = space_vector_composite(c, d, name, g)
         assert _bits(v.coords) == _bits(scale * (weights @ per_vertex))
@@ -131,29 +146,15 @@ def test_outputs_do_not_depend_on_the_block_size(s, monkeypatch):
     runs = []
     for block_bytes in (16 * n * n, bloch._BLOCK_BYTES, 16 * n ** 3):
         monkeypatch.setattr(bloch, "_BLOCK_BYTES", block_bytes)
-        m = simplex_from_observable(spin_along(sys_, d), g)
-        runs.append([space_vector_single(sys_, d, g).coords, m.vertices, m.projectors]
+        obs = spin_along(sys_, d)
+        m = simplex_from_observable(obs, g)
+        runs.append([space_vector_single(sys_, d, g).coords, m.vertices, m.projectors,
+                     _bloch_rows(obs.kets, g)]
                     + [space_vector_composite(pair, d, basis, g_pair).coords
                        for basis in ("coupled", "product")])
     for run in runs[1:]:
         for a, b in zip(run, runs[0]):
             assert _bits(a) == _bits(b)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 64), factor=st.sampled_from([0.5, 0.999, 1.001, 2.0, np.nan]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_rank1_rows_rejects_a_non_unit_ket_as_density_state_does(n, factor, seed):
-    rng = np.random.default_rng(seed)
-    kets = np.array(_frame(n, rng, False))
-    i = int(rng.integers(n))
-    kets[i] *= factor
-    # a NaN ket fails the Hermiticity check first
-    with pytest.raises(ValueError, match="trace .* is not 1|not Hermitian") as one:
-        _validated(kets[i])
-    with pytest.raises(ValueError) as stacked:
-        DensityState._rank1_rows(kets)
-    assert str(stacked.value) == str(one.value)
 
 
 @pytest.mark.parametrize("bad,error", (
@@ -163,7 +164,7 @@ def test_rank1_rows_rejects_a_non_unit_ket_as_density_state_does(n, factor, seed
 @pytest.mark.parametrize("position", (0, 4, 8))
 def test_bloch_rows_fail_as_state_to_bloch_does(bad, error, position, monkeypatch):
     g = build_generators(2)
-    good = [p.matrix for p in spin_along(build_spin_system(0.5), X3).eigenstates] * 4
+    good = list(_projectors(spin_along(build_spin_system(0.5), X3).kets)) * 4
     # states that skipped validation, as a caller bypassing DensityState makes them
     d = DensityState._wrap(bad.astype(complex))
     with pytest.raises(ValueError, match=error) as one:
@@ -187,7 +188,7 @@ NORM_BAD = np.diag([1.5, -0.5]).astype(complex)
 ))
 def test_bloch_rows_report_the_first_failing_row_of_a_block(first, second, error, monkeypatch):
     g = build_generators(2)
-    good = spin_along(build_spin_system(0.5), X3).eigenstates[0].matrix
+    good = _projectors(spin_along(build_spin_system(0.5), X3).kets)[0]
     monkeypatch.setattr(bloch, "_BLOCK_BYTES", 16 * 2 * 2 * 3)  # blocks of three
     with pytest.raises(ValueError, match=error):
         _bloch_rows([good, good, good, good, first, second], g)
@@ -196,6 +197,8 @@ def test_bloch_rows_report_the_first_failing_row_of_a_block(first, second, error
 def test_bloch_rows_checks_the_dimension():
     with pytest.raises(ValueError, match="dimension mismatch: state is 3, generators are 2"):
         _bloch_rows([np.eye(3) / 3], build_generators(2))
+    with pytest.raises(ValueError, match="dimension mismatch: state is 3, generators are 2"):
+        _bloch_rows(np.ones((2, 3)) / np.sqrt(3), build_generators(2))
 
 
 def test_casimir_is_diagonalized_once_per_composite(monkeypatch):
@@ -231,8 +234,16 @@ def test_n64_direction_vectors_stay_within_the_per_vertex_peak():
     g = build_generators(64)
     g._layout  # built once per generator set, outside the measurement
     single = build_spin_system(31.5)
-    assert _traced_peak(lambda: space_vector_single(single, X3, g)) <= PER_VERTEX_PEAK_BYTES["single"]
+    assert _traced_peak(lambda: space_vector_single(single, X3, g)) <= N64_PEAK_BYTES["single"]
     for basis in ("coupled", "product"):
         pair = build_composite(3.5, 3.5)
         peak = _traced_peak(lambda: space_vector_composite(pair, X3, basis, g))
-        assert peak <= PER_VERTEX_PEAK_BYTES[basis]
+        assert peak <= N64_PEAK_BYTES[basis]
+
+
+def test_n64_simplex_stays_within_its_peak():
+    g = build_generators(64)
+    g._layout  # built once per generator set, outside the measurement
+    single = build_spin_system(31.5)
+    peak = _traced_peak(lambda: simplex_from_observable(spin_along(single, X3), g))
+    assert peak <= N64_PEAK_BYTES["simplex"]

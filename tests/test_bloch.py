@@ -291,8 +291,8 @@ def test_n36_paths_never_build_the_stack():
 
 
 def _random_ket(n, rng, strided):
-    """A unit ket: a Haar-random vector, or an eigenvector column read
-    with a stride as ``spin_along`` reads it."""
+    """A unit ket: a Haar-random vector, or an eigenvector column of
+    ``eigh``, read with a stride."""
     if strided:
         return eigh(random_hermitian(n, rng)).column(int(rng.integers(n)))
     return random_ket(n, rng).amplitudes

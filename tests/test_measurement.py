@@ -107,6 +107,14 @@ class TestSimplexFromObservable:
         with pytest.raises(ValidationError, match="orthonormal"):
             simplex_from_observable((kets, values), g)
 
+    def test_rejects_a_nan_ket(self):
+        kets, values = random_observable_frame(5, np.random.default_rng(13))
+        kets = np.array(kets)
+        kets[3] = np.nan
+        # NaN passes the orthonormality comparison; the coordinate norm check stops it
+        with pytest.raises(ValueError, match="coordinate norm nan"):
+            simplex_from_observable((kets, values), build_generators(5))
+
     @pytest.mark.parametrize("shape", ((3, 4), (5, 4), (4, 5), (4,), (4, 4, 4)))
     def test_rejects_kets_of_the_wrong_shape(self, shape):
         g = build_generators(4)

@@ -37,8 +37,8 @@ N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_00
 
 
 def _frame(n, rng, degenerate):
-    """Kets of a random orthonormal frame as the strided rows spin_along
-    reads; with ``degenerate`` the observable has repeated eigenvalues."""
+    """Kets of a random orthonormal frame as the strided rows of eigh's
+    eigenvectors; with ``degenerate`` the observable has repeated eigenvalues."""
     h = random_hermitian(n, rng)
     if degenerate:
         _, u = np.linalg.eigh(h)

@@ -27,11 +27,9 @@ from conftest import ket_state, random_hermitian
 
 DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 
-# tracemalloc peaks of one call at N=64 along X3: a direction vector took 10.6 MB
-# when every vertex kept its own coordinate array until np.stack, and about 7.1 MB
-# while all N projectors were built before their rows; from the kets, one block's
-# projectors at a time, it takes about 3.0 MB.  A simplex, which keeps its N
-# projectors, took 12.7 MB from per-eigenstate projectors and about 8.7 MB from kets.
+# tracemalloc peaks of one call at N=64 along X3: from kets, about 3.0 MB per direction
+# vector (one block of projectors at a time) and 8.6 MB per simplex (which keeps its N
+# projectors), against 7.1 and 12.7 MB when each eigenstate was a DensityState projector
 N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_000,
                   "simplex": 10_000_000}
 

@@ -20,10 +20,9 @@ from .linalg import ValidationError, degeneracy_groups, eigh
 from .measurement import (MeasurementRecord, MeasurementSimplex,
                           MeasurementStatistics, OnSimplexState,
                           approach_trajectory, barycentric_stream,
-                          born_probabilities, draw_disintegration_point,
-                          lueders_post_state, project_onto_simplex,
-                          run_measurement, sample_collapse,
-                          simplex_from_observable)
+                          born_probabilities, lueders_post_state,
+                          project_onto_simplex, run_measurement,
+                          sample_collapse, simplex_from_observable)
 from .spin import (Direction3, SpinObservable, SpinSystem, X1, X2, X3,
                    build_spin_system, classical_resultant_range,
                    cone_parameters, cone_projection_range, spin_along)
@@ -43,7 +42,7 @@ __all__ = [
     "ValidationError", "degeneracy_groups", "eigh",
     "MeasurementRecord", "MeasurementSimplex", "MeasurementStatistics",
     "OnSimplexState", "approach_trajectory", "barycentric_stream",
-    "born_probabilities", "draw_disintegration_point", "lueders_post_state",
+    "born_probabilities", "lueders_post_state",
     "project_onto_simplex", "run_measurement", "sample_collapse",
     "simplex_from_observable",
     "Direction3", "SpinObservable", "SpinSystem", "X1", "X2", "X3",

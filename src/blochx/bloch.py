@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet, _generator_sum, _generator_traces
-from .linalg import ValidationError, as_square_matrix, fix_phase, is_hermitian
+from .linalg import ValidationError, as_square_matrix, fix_phases, is_hermitian
 
 TRACE_ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
@@ -99,7 +99,7 @@ class PureState:
             raise ValueError(f"expected a vector of amplitudes, got shape {a.shape}")
         if not abs(np.linalg.norm(a) - 1.0) <= TRACE_ATOL:
             raise ValueError(f"amplitude norm {np.linalg.norm(a):.15g} is not 1")
-        object.__setattr__(self, "amplitudes", fix_phase(a))
+        object.__setattr__(self, "amplitudes", fix_phases(a[None])[0])
 
     @property
     def dim(self) -> int:

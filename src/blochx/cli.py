@@ -366,17 +366,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     comp = build_composite(args.s1, args.s2)
     if args.basis == "coupled":
-        entries = [{
-            "s": e.s,
-            "mu_s": e.mu,
-            "amplitudes": e.state.amplitudes,
-        } for e in coupled_basis(comp, args.direction).entries]
+        b = coupled_basis(comp, args.direction)
+        entries = [{"s": float(s), "mu_s": float(mu), "amplitudes": ket}
+                   for s, mu, ket in zip(b.s, b.mu, b.kets)]
     else:
-        entries = [{
-            "mu1": e.mu1,
-            "mu2": e.mu2,
-            "amplitudes": e.state.amplitudes,
-        } for e in product_basis(comp, args.direction).entries]
+        b = product_basis(comp, args.direction)
+        entries = [{"mu1": float(mu1), "mu2": float(mu2), "amplitudes": ket}
+                   for mu1, mu2, ket in zip(b.mu1, b.mu2, b.kets)]
     emit_report({
         "command": "compose",
         "s1": comp.s1,

@@ -6,7 +6,8 @@ basis of simultaneous (S^2, S_n) eigenvectors labeled (s, mu_s), and the
 product basis of one-entity eigenstate pairs labeled (mu1, mu2).  The two
 bases agree only on the extremal states; the product states with unequal
 projections are no eigenvectors of S^2, and the coupled zero-projection
-states are entangled.
+states are entangled.  Each basis is its kets, the rows of one C-contiguous
+array, next to arrays of their labels; no N x N projector is formed.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import DensityState, PureState, _projectors, projector_to_ket
-from .linalg import HermitianEigenSystem, degeneracy_groups, eigh, fix_phase
+from .linalg import degeneracy_groups, eigh, fix_phases
 from .spin import Direction3, SpinSystem, build_spin_system, spin_along
 
 EIGENVALUE_SNAP_ATOL = 1e-9
@@ -35,7 +35,7 @@ class CompositeSpinSystem:
     total_s_squared: np.ndarray
 
     @cached_property
-    def _casimir(self) -> HermitianEigenSystem:
+    def _casimir(self) -> tuple[np.ndarray, np.ndarray]:
         """eigh of the squared total spin, which no direction changes."""
         return eigh(self.total_s_squared)
 
@@ -62,43 +62,33 @@ def build_composite(s1: float, s2: float) -> CompositeSpinSystem:
 
 
 @dataclass(frozen=True)
-class CoupledEntry:
-    s: float
-    mu: float
-    state: PureState
-
-
-@dataclass(frozen=True)
 class CoupledBasis:
     """Simultaneous eigenbasis of total S^2 and the total component along a
-    direction, entries sorted by (s, mu)."""
+    direction: the kets as the rows of one C-contiguous array, with their
+    labels ``s`` and ``mu``, sorted by (s, mu)."""
 
-    entries: tuple[CoupledEntry, ...]
+    kets: np.ndarray
+    s: np.ndarray
+    mu: np.ndarray
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kets, as the rows of one array, and the total-component
-        eigenvalues, ready to feed a measurement simplex."""
-        return (np.stack([e.state.amplitudes for e in self.entries]),
-                np.array([e.mu for e in self.entries]))
-
-
-@dataclass(frozen=True)
-class ProductEntry:
-    mu1: float
-    mu2: float
-    state: PureState
+        """The kets and their total-component eigenvalues, ready to feed a
+        measurement simplex."""
+        return self.kets, self.mu
 
 
 @dataclass(frozen=True)
 class ProductBasis:
-    """Tensor products of one-entity eigenstates along a direction, entries
-    sorted by (mu1, mu2)."""
+    """Tensor products of one-entity eigenstates along a direction: the kets
+    as the rows of one C-contiguous array, with their labels ``mu1`` and
+    ``mu2``, sorted by (mu1, mu2)."""
 
-    entries: tuple[ProductEntry, ...]
+    kets: np.ndarray
+    mu1: np.ndarray
+    mu2: np.ndarray
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.stack([e.state.amplitudes for e in self.entries]),
-                np.array([e.mu1 + e.mu2 for e in self.entries]))
+        return self.kets, self.mu1 + self.mu2
 
 
 def _snap_half_integer(x: float, bound: float) -> float:
@@ -124,20 +114,35 @@ def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
     block is re-Hermitized before diagonalizing to shed rounding noise.
     """
     total = c.total_along(n)
-    casimir = c._casimir
-    entries = []
-    for group in degeneracy_groups(casimir.eigenvalues):
-        s_label = _spin_from_casimir(float(casimir.eigenvalues[group[0]]))
-        block_vectors = casimir.eigenvectors[:, group]
-        sub = block_vectors.conj().T @ total @ block_vectors
+    values, kets = c._casimir
+    rows, s_labels, mu = [], [], []
+    for group in degeneracy_groups(values):
+        s_label = _spin_from_casimir(float(values[group[0]]))
+        # BLAS rounds by operand layout, and compose reports carry the last bits:
+        # keep the block F-ordered and multiply it one strided column at a time
+        block = kets[group].T
+        sub = block.conj().T @ total @ block
         sub = (sub + sub.conj().T) / 2.0
-        sub_es = eigh(sub)
+        sub_values, sub_kets = eigh(sub)
+        columns = np.ascontiguousarray(sub_kets.T)
         for j in range(len(group)):
-            mu = _snap_half_integer(float(sub_es.eigenvalues[j]), s_label)
-            state = PureState(fix_phase(block_vectors @ sub_es.column(j)))
-            entries.append(CoupledEntry(s=s_label, mu=mu, state=state))
-    entries.sort(key=lambda e: (e.s, e.mu))
-    return CoupledBasis(entries=tuple(entries))
+            s_labels.append(s_label)
+            mu.append(_snap_half_integer(float(sub_values[j]), s_label))
+            rows.append(block @ columns[:, j])
+    s_labels, mu = np.array(s_labels), np.array(mu)
+    order = np.lexsort((mu, s_labels))
+    # the phase fix is not idempotent bit for bit, and reports carry both passes
+    return CoupledBasis(kets=fix_phases(fix_phases(np.array(rows)[order])),
+                        s=s_labels[order], mu=mu[order])
+
+
+def _round_trip(kets: np.ndarray) -> np.ndarray:
+    """``projector_to_ket`` of the projector of each row v of ``kets``, without
+    forming it: v conj(v_k) / sqrt(v_k conj(v_k)), k the first index with
+    population above 1e-12, in the same operations and order."""
+    populations = (kets * kets.conj()).real
+    lead = (np.arange(len(kets)), np.argmax(populations > 1e-12, axis=1))
+    return fix_phases(kets * kets[lead].conj()[:, None] / np.sqrt(populations[lead])[:, None])
 
 
 def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
@@ -145,11 +150,8 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     obs1 = spin_along(c.system1, n)
     obs2 = spin_along(c.system2, n)
     # the round trip through each projector sets last bits that compose reports carry
-    kets1, kets2 = (np.stack([projector_to_ket(DensityState._wrap(p)).amplitudes
-                              for p in _projectors(obs.kets)]) for obs in (obs1, obs2))
+    kets1, kets2 = _round_trip(obs1.kets), _round_trip(obs2.kets)
     # row i * N2 + j is np.kron(kets1[i], kets2[j]), the same products
     products = (kets1[:, None, :, None] * kets2[None, :, None, :]).reshape(c.dim, c.dim)
     mu1, mu2 = np.meshgrid(obs1.eigenvalues, obs2.eigenvalues, indexing="ij")
-    return ProductBasis(entries=tuple(
-        ProductEntry(mu1=float(a), mu2=float(b), state=PureState(amplitudes))
-        for a, b, amplitudes in zip(mu1.ravel(), mu2.ravel(), products)))
+    return ProductBasis(kets=fix_phases(products), mu1=mu1.ravel(), mu2=mu2.ravel())

@@ -131,7 +131,7 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     # Tr(P_a P_b) as one matrix product of the flattened P_a and P_b^T
     gram = projectors.reshape(n, -1) @ projectors.transpose(0, 2, 1).reshape(n, -1).T
-    if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_ATOL:
+    if not np.max(np.abs(gram - np.eye(n))) <= ORTHONORMALITY_ATOL:  # NaN fails too
         raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
     vertices = _bloch_rows(projectors, g)
@@ -216,11 +216,6 @@ def barycentric_stream(n: int, seed: int, start: int, count: int) -> np.ndarray:
     u = np.random.Generator(bits).random((count, blocks * _DOUBLES_PER_BLOCK))[:, :n]
     exponentials = -np.log1p(-u)
     return exponentials / exponentials.sum(axis=1, keepdims=True)
-
-
-def draw_disintegration_point(n: int, seed: int, index: int = 0) -> np.ndarray:
-    """The uniform disintegration point for one collapse draw."""
-    return barycentric_stream(n, seed, index, 1)[0]
 
 
 def _sanitize_weights(weights: np.ndarray) -> np.ndarray:

@@ -121,8 +121,9 @@ class SpinObservable:
 
     ``eigenvalues`` is the exact grid -s..s ascending (the computed
     spectrum is checked against it to 1e-10); the rows of ``kets`` are the
-    eigenvectors in the same order, C-contiguous, as strided rows made the
-    coordinate pass about 1.5x slower at N=64.
+    eigenvectors in the same order, phase-fixed and C-contiguous as ``eigh``
+    returns them (strided rows made the coordinate pass about 1.5x slower
+    at N=64).
     """
 
     matrix: np.ndarray
@@ -133,12 +134,12 @@ class SpinObservable:
 def spin_along(sys: SpinSystem, n: Direction3) -> SpinObservable:
     """Diagonalize the spin component along ``n``."""
     mat = sys.component_along(n)
-    es = eigh(mat)
+    values, kets = eigh(mat)
     mu = -sys.s + np.arange(sys.dim)
-    deviation = float(np.max(np.abs(es.eigenvalues - mu)))
+    deviation = float(np.max(np.abs(values - mu)))
     if deviation > SPECTRUM_ATOL:
         raise ValidationError(f"spectrum deviates from the -s..s grid by {deviation:.3e}")
-    return SpinObservable(matrix=mat, eigenvalues=mu, kets=np.ascontiguousarray(es.eigenvectors.T))
+    return SpinObservable(matrix=mat, eigenvalues=mu, kets=kets)
 
 
 def cone_parameters(s: float, mu: float) -> tuple[float, float, float]:

@@ -19,10 +19,20 @@ def ket_state(ket) -> DensityState:
     return DensityState(np.outer(ket, ket.conj()))
 
 
+def fix_phase(v) -> np.ndarray:
+    """The scalar phase fix, one component at a time: the oracle for
+    ``linalg.fix_phases``, whose rows must equal it bit for bit."""
+    v = np.asarray(v, dtype=complex)
+    for x in v:
+        if abs(x) > 1e-9:
+            return v * (x.conjugate() / abs(x))
+    return v.copy()
+
+
 def random_observable_frame(n: int, rng: np.random.Generator):
     """A random non-degenerate observable: the eigenstate kets of a random
     Hermitian matrix as rows, eigenvalues 0..n-1."""
-    return eigh(random_hermitian(n, rng)).eigenvectors.T, np.arange(n, dtype=float)
+    return eigh(random_hermitian(n, rng))[1], np.arange(n, dtype=float)
 
 
 def nested_lists(x):

@@ -22,7 +22,7 @@ from blochx.serialize import dumps, matrix_to_json
 from blochx.spin import (Direction3, X3, build_spin_system,
                          classical_resultant_range, cone_projection_range,
                          spin_along)
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_observable_frame
+from conftest import PAULI_1, PAULI_2, PAULI_3, ket_state, random_observable_frame
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -218,8 +218,9 @@ def test_criterion_9_composite_correspondence():
     g = build_generators(4)
     direction = Direction3.from_angles(1.0, 0.5)
     v = space_vector_composite(comp, direction, "coupled", g)
-    vertices = {(e.s, e.mu): state_to_bloch(e.state.projector(), g).coords
-                for e in coupled_basis(comp, direction).entries}
+    cb = coupled_basis(comp, direction)
+    vertices = {(s, mu): state_to_bloch(ket_state(ket), g).coords
+                for s, mu, ket in zip(cb.s, cb.mu, cb.kets)}
     closed_form = np.sqrt(3 / 8) * (vertices[(1.0, 1.0)] - vertices[(1.0, -1.0)])
     formula_err = float(np.max(np.abs(v.coords - closed_form)))
     ok = ok and formula_err < 1e-10

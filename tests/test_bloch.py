@@ -294,7 +294,7 @@ def _random_ket(n, rng, strided):
     """A unit ket: a Haar-random vector, or an eigenvector column of
     ``eigh``, read with a stride."""
     if strided:
-        return eigh(random_hermitian(n, rng)).column(int(rng.integers(n)))
+        return np.asfortranarray(eigh(random_hermitian(n, rng))[1])[int(rng.integers(n))]
     return random_ket(n, rng).amplitudes
 
 

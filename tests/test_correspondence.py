@@ -13,6 +13,7 @@ from blochx.correspondence import (direction_scale_composite,
 from blochx.generators import build_generators, expand_on_generators
 from blochx.measurement import simplex_from_observable
 from blochx.spin import Direction3, X1, X2, X3, build_spin_system, spin_along
+from conftest import ket_state
 
 
 def single_setup(s, direction=X3):
@@ -152,8 +153,9 @@ class TestSpaceVectorComposite:
         g = build_generators(4)
         n = Direction3.from_angles(0.7, 2.1)
         v = space_vector_composite(c, n, "coupled", g)
-        vertices = {(e.s, e.mu): state_to_bloch(e.state.projector(), g).coords
-                    for e in coupled_basis(c, n).entries}
+        cb = coupled_basis(c, n)
+        vertices = {(s, mu): state_to_bloch(ket_state(ket), g).coords
+                    for s, mu, ket in zip(cb.s, cb.mu, cb.kets)}
         expected = np.sqrt(3 / 8) * (vertices[(1.0, 1.0)] - vertices[(1.0, -1.0)])
         assert np.max(np.abs(v.coords - expected)) < 1e-10
 
@@ -179,9 +181,10 @@ class TestSpaceVectorComposite:
         g = build_generators(4)
         n = Direction3.from_angles(1.2, -2.0)
         v = space_vector_composite(c, n, "coupled", g)
-        for e in coupled_basis(c, n).entries:
-            if e.mu == 0.0:
-                vertex = state_to_bloch(e.state.projector(), g).coords
+        cb = coupled_basis(c, n)
+        for mu, ket in zip(cb.mu, cb.kets):
+            if mu == 0.0:
+                vertex = state_to_bloch(ket_state(ket), g).coords
                 assert abs(vertex @ v.coords) < 1e-10
 
     def test_composite_projection_spacing(self):

@@ -10,9 +10,8 @@ from blochx.bloch import (BlochVector, DensityState, pure_state_from_direction,
 from blochx import bloch, composite, measurement
 from blochx.generators import build_generators
 from blochx.linalg import ValidationError
-from blochx.measurement import (OnSimplexState,
-                                approach_trajectory, barycentric_stream,
-                                born_probabilities, draw_disintegration_point,
+from blochx.measurement import (OnSimplexState, approach_trajectory,
+                                barycentric_stream, born_probabilities,
                                 lueders_post_state, project_onto_simplex,
                                 run_measurement, sample_collapse,
                                 simplex_from_observable)
@@ -111,8 +110,8 @@ class TestSimplexFromObservable:
         kets, values = random_observable_frame(5, np.random.default_rng(13))
         kets = np.array(kets)
         kets[3] = np.nan
-        # NaN passes the orthonormality comparison; the coordinate norm check stops it
-        with pytest.raises(ValueError, match="coordinate norm nan"):
+        # the Gram check fails on NaN, and names the fault
+        with pytest.raises(ValidationError, match="orthonormal"):
             simplex_from_observable((kets, values), build_generators(5))
 
     @pytest.mark.parametrize("shape", ((3, 4), (5, 4), (4, 5), (4,), (4, 4, 4)))
@@ -279,7 +278,7 @@ class TestBarycentricStream:
         for n in (2, 3, 4, 6):
             block = barycentric_stream(n, seed=42, start=0, count=30)
             for i in (0, 1, 7, 29):
-                assert np.array_equal(block[i], draw_disintegration_point(n, 42, i))
+                assert np.array_equal(block[i], barycentric_stream(n, 42, i, 1)[0])
             tail = barycentric_stream(n, seed=42, start=10, count=5)
             assert np.array_equal(tail, block[10:15])
 

@@ -20,10 +20,10 @@ from blochx.composite import build_composite, coupled_basis, product_basis
 from blochx.correspondence import (direction_scale_composite, direction_scale_single,
                                    space_vector_composite, space_vector_single)
 from blochx.generators import build_generators
-from blochx.linalg import eigh
+from blochx.linalg import degeneracy_groups, eigh
 from blochx.measurement import simplex_from_observable
-from blochx.spin import X3, Direction3, build_spin_system, spin_along
-from conftest import ket_state, random_hermitian
+from blochx.spin import X1, X3, Direction3, build_spin_system, spin_along
+from conftest import fix_phase, ket_state, random_hermitian
 
 DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 
@@ -35,14 +35,14 @@ N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_00
 
 
 def _frame(n, rng, degenerate):
-    """Kets of a random orthonormal frame as the strided rows of eigh's
-    eigenvectors; with ``degenerate`` the observable has repeated eigenvalues."""
+    """Kets of a random orthonormal frame, eigh's kets as the strided rows of an
+    F-ordered array; with ``degenerate`` the observable has repeated eigenvalues."""
     h = random_hermitian(n, rng)
     if degenerate:
         _, u = np.linalg.eigh(h)
         h = (u * rng.integers(0, max(1, n // 3), n)) @ u.conj().T
         h = (h + h.conj().T) / 2.0
-    return eigh(h).eigenvectors.T
+    return np.asfortranarray(eigh(h)[1])
 
 
 def _bits(a):
@@ -96,10 +96,10 @@ def test_spin_eigenbases_match_the_per_vertex_path(two_s, seed):
     g = build_generators(sys_.dim)
     d = _direction(seed)
     obs = spin_along(sys_, d)
-    es = eigh(sys_.component_along(d))
-    assert obs.kets.flags.c_contiguous and _bits(obs.kets) == _bits(np.ascontiguousarray(es.eigenvectors.T))
-    for i, p in enumerate(_projectors(obs.kets)):
-        assert _bits(p) == _bits(ket_state(es.column(i)).matrix)
+    values, kets = eigh(sys_.component_along(d))
+    assert obs.kets.flags.c_contiguous and _bits(obs.kets) == _bits(kets)
+    for p, ket in zip(_projectors(obs.kets), kets):
+        assert _bits(p) == _bits(ket_state(ket).matrix)
     _assert_rows_match_per_vertex(obs.kets, g)
     per_vertex = np.stack([state_to_bloch(ket_state(k), g).coords for k in obs.kets])
     v = space_vector_single(sys_, d, g)
@@ -109,22 +109,63 @@ def test_spin_eigenbases_match_the_per_vertex_path(two_s, seed):
     assert m.vertices.flags.c_contiguous and _bits(m.vertices) == _bits(per_vertex)
 
 
+def _coupled_per_entry(c, d):
+    """The coupled basis one entry at a time, as it was built before it was an
+    array: eigenvectors as the F-ordered columns of each S^2 block, and each
+    entry ``PureState(fix_phase(B @ column))``, sorted by (s, mu)."""
+    def columns(a):
+        w, v = np.linalg.eigh(a)
+        return w, np.column_stack([fix_phase(v[:, i]) for i in range(len(w))])
+
+    w, casimir = columns(c.total_s_squared)
+    total = c.total_along(d)
+    entries = []
+    for group in degeneracy_groups(w):
+        s = composite._spin_from_casimir(float(w[group[0]]))
+        block = casimir[:, group]
+        sub = block.conj().T @ total @ block
+        sub_w, sub_v = columns((sub + sub.conj().T) / 2.0)
+        entries += [(s, composite._snap_half_integer(float(sub_w[j]), s),
+                     PureState(fix_phase(block @ sub_v[:, j])).amplitudes)
+                    for j in range(len(group))]
+    entries.sort(key=lambda e: e[:2])
+    return entries
+
+
+def _product_per_entry(c, d):
+    """The product basis one entry at a time: each factor ket recovered from its
+    validated projector, and each entry ``PureState(np.kron(a, b))``."""
+    factors = [[(mu, projector_to_ket(ket_state(k)).amplitudes) for mu, k in zip(obs.eigenvalues, obs.kets)]
+               for obs in (spin_along(c.system1, d), spin_along(c.system2, d))]
+    return [(mu1, mu2, PureState(np.kron(a, b)).amplitudes) for mu1, a in factors[0] for mu2, b in factors[1]]
+
+
+def _assert_bases_match_the_per_entry_path(c, d):
+    coupled, product = coupled_basis(c, d), product_basis(c, d)
+    for basis, labels, per_entry in ((coupled, (coupled.s, coupled.mu), _coupled_per_entry(c, d)),
+                                     (product, (product.mu1, product.mu2), _product_per_entry(c, d))):
+        assert basis.kets.flags.c_contiguous
+        assert _bits(basis.kets) == _bits(np.stack([e[2] for e in per_entry]))
+        assert [tuple(map(float, pair)) for pair in zip(*labels)] == [e[:2] for e in per_entry]
+    return coupled, product
+
+
+@pytest.mark.parametrize("s1,s2,d", ((2.5, 2.5, X1), (0.5, 15.5, Direction3.normalized([0.1, 0.9, -0.2]))))
+def test_composite_kets_match_the_per_entry_path(s1, s2, d):
+    _assert_bases_match_the_per_entry_path(build_composite(s1, s2), d)
+
+
 @settings(max_examples=25, deadline=None)
 @given(two_s1=st.integers(1, 7), two_s2=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
 def test_composite_bases_match_the_per_vertex_path(two_s1, two_s2, seed):
     c = build_composite(two_s1 / 2, two_s2 / 2)
     g = build_generators(c.dim)
     d = _direction(seed)
-    entity_kets = [[projector_to_ket(ket_state(k)) for k in spin_along(sys_, d).kets]
-                   for sys_ in (c.system1, c.system2)]
-    product = product_basis(c, d)
-    for e, (a, b) in zip(product.entries, ((a, b) for a in entity_kets[0] for b in entity_kets[1])):
-        assert _bits(e.state.amplitudes) == _bits(PureState(np.kron(a.amplitudes, b.amplitudes)).amplitudes)
+    coupled, product = _assert_bases_match_the_per_entry_path(c, d)
     scale = direction_scale_composite(c.system1.dim, c.system2.dim)
-    for name, basis in (("coupled", coupled_basis(c, d)), ("product", product)):
+    for name, basis in (("coupled", coupled), ("product", product)):
         kets, weights = basis.eigensystem()
-        assert _bits(kets) == _bits(np.stack([e.state.amplitudes for e in basis.entries]))
-        per_entry = [e.state.projector() for e in basis.entries]
+        per_entry = [ket_state(k) for k in kets]
         for p, expected in zip(_projectors(kets), per_entry):
             assert _bits(p) == _bits(expected.matrix)
         _assert_rows_match_per_vertex(kets, g)

@@ -5,9 +5,13 @@ Every subcommand writes one deterministic pretty-printed JSON report
 ``"blochx_schema": 1`` and a ``generated_at`` timestamp, the one field
 excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
 2 numerical validation failure.  ``generators --n``, the spin flags and
-composites refuse Hilbert space dimensions above 64 (the dense generator
-stack and the eigenstate simplex grow as N^4 and N^3) as usage errors
-before anything is built; ``bloch --state`` files set no such limit.
+composites refuse Hilbert space dimensions above 64 (the generators report
+holds N^4 entries, and the eigenstate simplex N^3) as usage errors before
+anything is built; ``bloch --state`` files set no such limit.  The
+generators report is written one member at a time as it is formatted, from
+the index arithmetic of the generator set, so its memory stays O(N^2)
+however large the report; every other report is formatted whole, then
+written.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .correspondence import (direction_scale_composite, direction_scale_single,
                              eigenstate_projections, isomorphism_sweep,
                              space_vector_composite, space_vector_single,
                              v_overlap_with_extremal)
-from .generators import build_generators
+from .generators import GeneratorSet, build_generators
 from .linalg import ValidationError
 from .measurement import run_measurement, simplex_from_observable
 from .spin import X1, X2, X3, Direction3, build_spin_system, check_spin, spin_along
@@ -201,18 +205,40 @@ def parse_args(argv) -> argparse.Namespace:
 
 def emit_report(report: dict, args: argparse.Namespace) -> None:
     """Write the report as deterministic JSON to the configured path or
-    stdout; the generated_at timestamp is the only run-varying field."""
+    stdout; the generated_at timestamp is the only run-varying field.
+
+    A report holding a GeneratorSet is streamed member by member, so its
+    N^4 entries are never held; every other report is small and is
+    formatted whole first, so one that fails to format writes nothing.  A
+    file that fails part way is removed."""
     body = {"blochx_schema": SCHEMA_VERSION,
             "generated_at": datetime.now(timezone.utc).isoformat()}
     body.update(report)
-    text = serialize.dumps(body) + "\n"
+    streamed = any(isinstance(value, GeneratorSet) for value in report.values())
+    text = None if streamed else serialize.dumps(body)
+
+    def send(fp):
+        if streamed:
+            serialize.write(body, fp)
+        else:
+            fp.write(text)
+        fp.write("\n")
+
     if args.output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output file {args.output}: {exc}")
+        send(sys.stdout)
+        return
+    path = Path(args.output)
+    try:
+        with path.open("w") as fp:
+            try:
+                send(fp)
+            except BaseException:
+                fp.close()
+                if path.is_file():
+                    path.unlink()
+                raise
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {args.output}: {exc}")
 
 
 def _load_state_json(path: str) -> dict:
@@ -246,7 +272,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
         "n": args.n,
         "c": g.c,
         "count": len(g),
-        "generators": g.matrices,
+        "generators": g,
     }, args)
     return 0
 

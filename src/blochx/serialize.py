@@ -5,13 +5,20 @@ significant digits.
 ``dumps`` takes complex ndarrays as they are: a vector, a matrix or a stack
 of matrices is written as its nested [re, im] lists, byte for byte what
 ``dumps`` writes for ``matrix_to_json`` of each matrix, in one vectorized
-pass per matrix that formats each distinct float once."""
+pass per matrix that formats each distinct float once.  A ``GeneratorSet``
+is written as its stack of matrices would be, but member by member from its
+index arithmetic, so neither the N^4 stack nor its text is ever held.
+
+``write`` sends the pieces to a text file object as they are made;
+``dumps`` is their join."""
 from __future__ import annotations
 
 import json
 import math
 
 import numpy as np
+
+from .generators import GeneratorSet
 
 
 def complex_to_json(z) -> list[float]:
@@ -76,46 +83,90 @@ def _complex_text(a: np.ndarray, level: int) -> str:
     return _nested_text(cells[ids].reshape(a.shape).tolist(), level)
 
 
-def _emit(obj, level: int, pieces: list[str]) -> None:
+def _generator_text(g: GeneratorSet, level: int, out) -> None:
+    """``g.matrices`` as _emit writes it, one member at a time.  A member's
+    rows are one zero row, ``[0, 0]`` cells for the symmetric and diagonal
+    members and ``[0, -0]`` for the antisymmetric ones as the stack has
+    them, but for the two or l + 1 rows that hold its nonzero entries."""
+    n = g.dim
+    upper, _, norm, l_norm = g._layout
+    matrix_pad, row_pad, cell_pad = ("  " * (level + i) for i in (1, 2, 3))
+    row_sep, cell_sep = ",\n" + row_pad, ",\n" + cell_pad
+
+    def row(zero, column=None, cell=None):
+        cells = [zero] * n
+        if column is not None:
+            cells[column] = cell
+        return "[\n" + cell_pad + cell_sep.join(cells) + "\n" + row_pad + "]"
+
+    def members():
+        pairs = np.divmod(upper, n)
+        # the cells (j, k) and (k, j) of the symmetric, then the antisymmetric pairs
+        for zero, at_jk, at_kj in (("[0, 0]", "[1, 0]", "[1, 0]"),
+                                   ("[0, -0]", "[0, -1]", "[0, 1]")):
+            zero_row = row(zero)
+            for j, k in zip(*(x.tolist() for x in pairs)):
+                rows = [zero_row] * n
+                rows[j], rows[k] = row(zero, k, at_jk), row(zero, j, at_kj)
+                yield rows
+        zero_row = row("[0, 0]")
+        for l, (c, lc) in enumerate(zip(norm.tolist(), (-l_norm).tolist()), 1):
+            # c on the diagonal entries 0..l-1, -l c on entry l
+            c_cell, lc_cell = (f"[{format(x, '.17g')}, 0]" for x in (c, lc))
+            rows = [row("[0, 0]", i, c_cell) for i in range(l)] + [row("[0, 0]", l, lc_cell)]
+            yield rows + [zero_row] * (n - l - 1)
+
+    out("[\n")
+    last = len(g) - 1
+    for i, rows in enumerate(members()):
+        out(matrix_pad + "[\n" + row_pad)
+        out(row_sep.join(rows))
+        out("\n" + matrix_pad + ("],\n" if i < last else "]\n"))
+    out("  " * level + "]")
+
+
+def _emit(obj, level: int, out) -> None:
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
-            pieces.append("{}")
+            out("{}")
             return
-        pieces.append("{\n")
+        out("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(value, level + 1, pieces)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
+            out(f"{inner}{json.dumps(str(key))}: ")
+            _emit(value, level + 1, out)
+            out(",\n" if i < len(obj) - 1 else "\n")
+        out(pad + "}")
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
-            pieces.append("[]")
+            out("[]")
             return
         if all(_is_number(x) for x in items):
-            pieces.append("[" + ", ".join(_format_number(x) for x in items) + "]")
+            out("[" + ", ".join(_format_number(x) for x in items) + "]")
             return
-        pieces.append("[\n")
+        out("[\n")
         for i, value in enumerate(items):
-            pieces.append(inner)
-            _emit(value, level + 1, pieces)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
-        pieces.append(pad + "]")
+            out(inner)
+            _emit(value, level + 1, out)
+            out(",\n" if i < len(items) - 1 else "\n")
+        out(pad + "]")
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        out(json.dumps(obj))
     elif obj is None:
-        pieces.append("null")
+        out("null")
     elif _is_number(obj):
-        pieces.append(_format_number(obj))
+        out(_format_number(obj))
+    elif isinstance(obj, GeneratorSet):
+        _generator_text(obj, level, out)
     elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj) and obj.ndim:
         if obj.ndim > 2:
-            _emit(list(obj), level, pieces)  # one matrix at a time
+            _emit(list(obj), level, out)  # one matrix at a time
         else:
-            pieces.append(_complex_text(obj, level))
+            out(_complex_text(obj, level))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), level, pieces)
+        _emit(obj.tolist(), level, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -125,5 +176,11 @@ def dumps(obj) -> str:
     indent, number-only lists inlined, floats at 17 significant digits,
     complex ndarrays as nested [re, im] pairs."""
     pieces: list[str] = []
-    _emit(obj, 0, pieces)
+    _emit(obj, 0, pieces.append)
     return "".join(pieces)
+
+
+def write(obj, fp) -> None:
+    """Write what ``dumps(obj)`` returns to the text file object ``fp``, one
+    piece at a time; a GeneratorSet goes one member at a time."""
+    _emit(obj, 0, fp.write)

@@ -1,6 +1,7 @@
 import numpy as np
 
 from blochx.bloch import DensityState
+from blochx.generators import GeneratorSet
 from blochx.linalg import eigh
 from blochx.serialize import matrix_to_json
 
@@ -37,7 +38,10 @@ def random_observable_frame(n: int, rng: np.random.Generator):
 
 def nested_lists(x):
     """``x`` with every complex ndarray (vector, matrix or stack of
-    matrices) in the nested [re, im] form that matrix_to_json builds."""
+    matrices) and every generator set's stack in the nested [re, im] form
+    that matrix_to_json builds."""
+    if isinstance(x, GeneratorSet):
+        x = x.matrices
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             return matrix_to_json(x[np.newaxis])[0]

@@ -257,7 +257,9 @@ def test_state_to_bloch_matches_the_dense_stack(n, seed):
     dense = np.einsum("kij,ji->k", g.matrices, d.matrix) * (n / (2.0 * g.c))
     coords = state_to_bloch(d, g).coords
     assert np.max(np.abs(coords - dense.real)) <= 1e-14
-    # same sums in the same order, so reports stay bit-identical
+    # same sums in the same order, so equal by value; np.array_equal counts
+    # -0.0 equal to 0.0, so the sign of a zero goes unchecked: the
+    # antisymmetric terms can give -0.0 where the einsum gives 0.0
     assert np.array_equal(coords, dense.real)
 
 

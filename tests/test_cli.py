@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from blochx import cli, serialize, spin
 from blochx.bloch import pure_state_from_direction
 from blochx.cli import main, parse_args
 from blochx.linalg import ValidationError
-from blochx.serialize import dumps, matrix_from_json, matrix_to_json
+from blochx.generators import GeneratorSet
+from blochx.serialize import dumps, matrix_from_json, matrix_to_json, write
 from conftest import ket_state, nested_lists
 
 
@@ -140,6 +142,78 @@ class TestGenerators:
         result = run_cli(["generators", "--n", "3"], tmp_path)
         assert result.returncode == 0
         assert json.loads(result.stdout)["count"] == 8
+
+
+def _without_stamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if '"generated_at"' not in line)
+
+
+class TestReportOutput:
+    """The generators report is streamed to its file or stdout one member at
+    a time; every other report is formatted whole, then written."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["generators", "--n", "7"], "--json"),
+        (["spin", "--s", "1.5", "--direction=0.3,-0.4,0.5"], "--emit"),
+    ], ids=["generators", "spin"])
+    def test_file_report_equals_stdout_report(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + [flag, str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert _without_stamp(out.read_text()) == _without_stamp(stdout)
+
+    def test_n48_generators_file_never_holds_the_stack(self, tmp_path):
+        out = tmp_path / "g48.json"
+        tracemalloc.start()
+        try:
+            assert main(["generators", "--n", "48", "--json", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stack alone is 85 MB and its text 89 MB; the streamed peak was 0.4 MB
+        assert peak < 4_000_000
+        assert out.stat().st_size > 80_000_000
+
+    @pytest.mark.parametrize("argv", [["generators", "--n", "2", "--json"],
+                                      ["spin", "--s", "1", "--direction", "0,0,1", "--emit"]],
+                             ids=["generators", "spin"])
+    def test_unwritable_path_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert main(argv + [str(tmp_path / "missing" / "report.json")]) == 1
+        assert "cannot write output file" in capsys.readouterr().err
+        assert main(argv + [str(tmp_path)]) == 1
+        assert "cannot write output file" in capsys.readouterr().err
+
+    @pytest.fixture
+    def output_to(self, monkeypatch):
+        """Point every report at ``path``: ``bloch`` has no output flag."""
+        def use(path):
+            def parse(argv):
+                args = parse_args(argv)
+                args.output = str(path)
+                return args
+            monkeypatch.setattr(cli, "parse_args", parse)
+        return use
+
+    def test_report_that_fails_to_format_leaves_no_file(self, tmp_path, psi_file,
+                                                         monkeypatch, output_to, capsys):
+        monkeypatch.setattr(cli, "purity", lambda r: float("nan"))
+        out = tmp_path / "vector.json"
+        output_to(out)
+        assert main(["bloch", "--state", str(psi_file), "--to-vector"]) == 1
+        assert "non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_streamed_report_that_fails_part_way_leaves_no_file(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # c is written after the file is opened and the first fields are in it
+        monkeypatch.setattr(cli, "build_generators", lambda n: GeneratorSet(n, float("nan")))
+        out = tmp_path / "g.json"
+        assert main(["generators", "--n", "3", "--json", str(out)]) == 1
+        assert "non-finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBloch:
@@ -291,8 +365,9 @@ class TestCompose:
 
 
 class TestArrayReports:
-    """The CLI hands complex arrays to the serializer; each report must be
-    byte for byte what the nested [re, im] lists of matrix_to_json give."""
+    """The CLI hands complex arrays and generator sets to the serializer;
+    each report must be byte for byte what the nested [re, im] lists of
+    matrix_to_json give."""
 
     @pytest.mark.parametrize("argv", [
         ["generators", "--n", "16"],
@@ -315,6 +390,8 @@ class TestArrayReports:
         bodies = []
         monkeypatch.setattr(serialize, "dumps",
                             lambda body: bodies.append(body) or dumps(body))
+        monkeypatch.setattr(serialize, "write",
+                            lambda body, fp: bodies.append(body) or write(body, fp))
         assert main([files.get(a, a) for a in argv]) == 0
         assert len(bodies) == 1
         assert capsys.readouterr().out == dumps(nested_lists(bodies[0])) + "\n"

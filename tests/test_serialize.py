@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochx.generators import build_generators
-from blochx.serialize import dumps
+from blochx.serialize import dumps, write
 from conftest import nested_lists
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-310, -5e-324,
@@ -71,6 +73,23 @@ def test_non_finite_entries_raise_as_nested_lists_do(a, bad, wrap):
 def test_generator_stack_writes_its_nested_lists():
     g = build_generators(6).matrices
     assert dumps({"generators": g}) == dumps({"generators": nested_lists(g)})
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_generator_set_writes_its_stack(n):
+    g = build_generators(n)
+    streamed = dumps({"generators": g})  # before the stack exists
+    assert "matrices" not in g.__dict__
+    assert streamed == dumps({"generators": g.matrices})
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=complex_arrays(), wrap=wrappers(), n=st.integers(2, 5))
+def test_write_sends_what_dumps_returns(a, wrap, n):
+    obj = wrap({"array": a, "generators": build_generators(n), "nested": {"stack": [a]}})
+    fp = io.StringIO()
+    write(obj, fp)
+    assert fp.getvalue() == dumps(obj)
 
 
 def test_real_arrays_and_complex_scalars_are_unchanged():

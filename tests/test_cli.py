@@ -186,25 +186,24 @@ class TestReportOutput:
         assert main(argv + [str(tmp_path)]) == 1
         assert "cannot write output file" in capsys.readouterr().err
 
-    @pytest.fixture
-    def output_to(self, monkeypatch):
-        """Point every report at ``path``: ``bloch`` has no output flag."""
-        def use(path):
-            def parse(argv):
-                args = parse_args(argv)
-                args.output = str(path)
-                return args
-            monkeypatch.setattr(cli, "parse_args", parse)
-        return use
-
-    def test_report_that_fails_to_format_leaves_no_file(self, tmp_path, psi_file,
-                                                         monkeypatch, output_to, capsys):
+    def test_report_that_fails_to_format_writes_nothing(self, tmp_path, psi_file,
+                                                        monkeypatch, capsys):
         monkeypatch.setattr(cli, "purity", lambda r: float("nan"))
-        out = tmp_path / "vector.json"
-        output_to(out)
-        assert main(["bloch", "--state", str(psi_file), "--to-vector"]) == 1
+        argv = ["bloch", "--state", str(psi_file), "--to-vector"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite number" in err
+        # bloch writes to stdout only, so its parsed flags are pointed at a file
+        path = tmp_path / "vector.json"
+
+        def parse(argv):
+            args = parse_args(argv)
+            args.output = str(path)
+            return args
+        monkeypatch.setattr(cli, "parse_args", parse)
+        assert main(argv) == 1
         assert "non-finite number" in capsys.readouterr().err
-        assert not out.exists()
+        assert not path.exists()
 
     def test_streamed_report_that_fails_part_way_leaves_no_file(self, tmp_path,
                                                                  monkeypatch, capsys):

@@ -121,6 +121,13 @@ def _dimension_flag(text: str) -> int:
     return value
 
 
+def _steps_flag(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 steps, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="blochx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -149,7 +156,7 @@ def build_parser() -> _Parser:
     p.add_argument("--state", required=True, help="pre-measurement state file (matrix JSON)")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_parse_seed_flag, default=None)
-    p.add_argument("--trajectory-steps", type=_positive_int, default=None,
+    p.add_argument("--trajectory-steps", type=_steps_flag, default=None,
                    help="also write the approach path as CSV (needs --out)")
     p.add_argument("--out", dest="output", default=None)
 

@@ -38,7 +38,14 @@ ZERO_PROBABILITY_ATOL = 1e-12
 RECORD_COUNT = 10  # full records kept by run_measurement
 
 _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter step
-_CHUNK_SAMPLES = 8192  # draws per window of run_measurement's stream; 32k ran slower at N=16
+# A window of run_measurement's stream holds at most _CHUNK_SAMPLES draws and
+# at most _WINDOW_BYTES of uniforms: 8192 draws for N <= 8, then 4096, 2048
+# and 1024 at N = 16, 32 and 64.  The uniforms and their gathered copy are the
+# two largest arrays, so one call's traced peak is 0.6 MB at N=2 and
+# 1.1-1.3 MB at N = 8, 16, 32 and 64, where a flat 8192 draws reached 1.6,
+# 3.2, 6.4 and 12.7 MB.  32k draws ran slower at N=16.
+_CHUNK_SAMPLES = 8192
+_WINDOW_BYTES = 512 * 1024
 
 ObservableLike = Union[SpinObservable, tuple]
 
@@ -248,8 +255,9 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
                       weights: np.ndarray) -> np.ndarray:
     """Per-vertex win counts of samples ``[0, samples)``: the counts of
     ``_winning_vertices(barycentric_stream(n, seed, 0, samples), weights)``,
-    read from one pass over the stream in windows of ``_CHUNK_SAMPLES``
-    draws, so memory does not grow with ``samples``.
+    read from one pass over the stream in windows of at most
+    ``_CHUNK_SAMPLES`` draws and ``_WINDOW_BYTES`` of uniforms, so memory
+    grows neither with ``samples`` nor with ``n``.
 
     Rows are not normalized, since rescaling a row leaves the minimizer of
     lambda_j / w_j where it was.  With x_j = log1p(-u_j) = -e_j the
@@ -259,8 +267,9 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     positive = np.flatnonzero(weights > 0.0)
     w = weights[positive][:, None]
     stream = np.random.Generator(np.random.Philox(key=seed, counter=0))
-    u = np.empty((min(_CHUNK_SAMPLES, samples),
-                  _blocks_per_sample(n) * _DOUBLES_PER_BLOCK))
+    width = _blocks_per_sample(n) * _DOUBLES_PER_BLOCK
+    draws = min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width), samples)
+    u = np.empty((draws, width))
     wins = np.zeros(len(positive), dtype=np.intp)
     for start in range(0, samples, len(u)):
         window = u[:samples - start]
@@ -276,6 +285,7 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
             np.maximum(winner, (x[j] > best) * j, out=winner)
             np.maximum(best, x[j], out=best)
         wins += np.bincount(winner, minlength=len(positive))
+        del x, best, winner  # freed before the next window's copy is made
     counts = np.zeros(n, dtype=np.intp)
     counts[positive] = wins
     return counts
@@ -339,9 +349,11 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     per-outcome probabilities, empirical frequencies, binomial standard errors, the
     largest absolute deviation, and the first ``RECORD_COUNT`` (10) full records.
 
-    Outcomes are counted in fixed windows of the stream, read in order, and
-    no disintegration point is kept: memory does not grow with ``samples``,
-    and the counts do not depend on the window size.  Only the recorded
+    Outcomes are counted in windows of the stream, read in order, of at most
+    8192 draws and 512 KiB of uniforms, and no disintegration point is kept:
+    memory grows neither with ``samples`` nor with N (traced peak about
+    0.6 MB at N=2 and 1.1-1.3 MB at N=8, 16, 32 and 64), and the counts do
+    not depend on the window size.  Only the recorded
     samples are drawn again, by :func:`sample_collapse`'s path in one call, so
     each record's ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
     """

@@ -542,6 +542,14 @@ class TestSizeLimits:
         assert main(["verify", "--prop", "1", "--s", "0.5", f"--tolerance={value}"]) == 1
         assert "--tolerance must be finite" in capsys.readouterr().err
 
+    def test_single_trajectory_step_is_refused_before_sampling(self, nothing_built, capsys):
+        argv = ["measure", "--s", "0.5", "--direction", "0,0,1", "--state", "psi.json",
+                "--samples", "3000000", "--trajectory-steps", "1", "--out", "out.json"]
+        with pytest.raises(cli.UsageError, match="at least 2 steps"):
+            parse_args(argv)
+        assert main(argv) == 1
+        assert "need at least 2 steps, got 1" in capsys.readouterr().err
+
     def test_dimension_below_two_is_refused_by_the_flag(self, capsys):
         with pytest.raises(cli.UsageError, match="at least 2"):
             parse_args(["generators", "--n", "1"])

@@ -542,7 +542,7 @@ def test_degenerate_coupled_counts_match_the_whole_array_path(kind, samples, see
     assert np.array_equal(stats.counts, stream_counts(stats, seed))
 
 
-@pytest.mark.parametrize("n", (2, 5, 16))
+@pytest.mark.parametrize("n", (2, 5, 16, 64))
 def test_counts_do_not_depend_on_the_chunk_size(n, monkeypatch):
     rng = np.random.default_rng(200 + n)
     g = build_generators(n)
@@ -581,11 +581,13 @@ def traced_peak(psi, m, g, samples):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("s,samples", ((0.5, 2_000_000), (7.5, 200_000)))
+@pytest.mark.parametrize("s,samples", ((0.5, 2_000_000), (3.5, 200_000), (7.5, 200_000),
+                                       (15.5, 100_000), (31.5, 50_000)))
 def test_sampler_memory_is_bounded(s, samples):
+    # one bound for every N: windows shrink as N grows (1.1-1.2 MB traced)
     m, g = spin_simplex(s)
     psi = random_density(m.dim_n, np.random.default_rng(73))
-    assert traced_peak(psi, m, g, samples) < 8 * 2 ** 20
+    assert traced_peak(psi, m, g, samples) < 2 * 2 ** 20
 
 
 def test_sampler_memory_is_flat_in_the_sample_count():

@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_parse_seed_flag, default=None)
     p.add_argument("--trajectory-steps", type=_steps_flag, default=None,
-                   help="also write the approach path as CSV (needs --out)")
+                   help="also write the approach path as CSV, at least 2 points (needs --out)")
     p.add_argument("--out", dest="output", default=None)
 
     p = sub.add_parser("compose", help="emit a two-spin eigenbasis")

@@ -42,8 +42,8 @@ _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter st
 # at most _WINDOW_BYTES of uniforms: 8192 draws for N <= 8, then 4096, 2048
 # and 1024 at N = 16, 32 and 64.  The uniforms and their gathered copy are the
 # two largest arrays, so one call's traced peak is 0.6 MB at N=2 and
-# 1.1-1.3 MB at N = 8, 16, 32 and 64, where a flat 8192 draws reached 1.6,
-# 3.2, 6.4 and 12.7 MB.  32k draws ran slower at N=16.
+# 1.1-1.3 MB at N = 8, 16, 32 and 64; a draw cap alone let it reach 12.7 MB
+# at N=64.  32k draws ran slower at N=16.
 _CHUNK_SAMPLES = 8192
 _WINDOW_BYTES = 512 * 1024
 

@@ -7,7 +7,10 @@ excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
 2 numerical validation failure.  ``generators --n``, the spin flags and
 composites refuse Hilbert space dimensions above 64 (the generators report
 holds N^4 entries, and the eigenstate simplex N^3) as usage errors before
-anything is built; ``bloch --state`` files set no such limit.  The
+anything is built; ``bloch --state`` files set no such limit.  ``verify``
+refuses more than 1,000,000 ``--trials`` the same way.  A ``--state`` file
+holds a ``matrix`` of shape (N, N, 2) or an integer ``n`` with ``coords``,
+numbers only; anything else is a usage error.  The
 generators report is written one member at a time as it is formatted, from
 the index arithmetic of the generator set, so its memory stays O(N^2)
 however large the report; every other report is formatted whole, then
@@ -44,6 +47,7 @@ DEFAULT_ISO_TOLERANCE = 1e-9
 SPACING_TOLERANCE = 1e-10
 AGREEMENT_TOLERANCE = 1e-10
 MAX_DIM = 64
+MAX_TRIALS = 1_000_000  # verify keeps every direction, about 0.6 KB per trial
 
 
 class UsageError(Exception):
@@ -112,6 +116,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _trials_flag(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"{value} trials is above the limit of {MAX_TRIALS}")
+    return value
+
+
 def _dimension_flag(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
@@ -173,7 +184,8 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_parse_spin_flag, default=None)
     p.add_argument("--s1", type=_parse_spin_flag, default=None)
     p.add_argument("--s2", type=_parse_spin_flag, default=None)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_trials_flag, default=100,
+                   help=f"random direction pairs (1 to {MAX_TRIALS:,}; default 100)")
     p.add_argument("--seed", type=_parse_seed_flag, default=None)
     p.add_argument("--tolerance", type=float, default=DEFAULT_ISO_TOLERANCE,
                    help="override the isomorphism deviation tolerance")
@@ -309,10 +321,12 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
         }, args)
         return 0
 
+    n = obj.get("n")
+    if type(n) is not int:  # bool is a subclass of int, and 2.7 would pass int()
+        raise UsageError(f"--state file {args.state}: 'n' must be an integer, got {n!r}")
     try:
-        n = int(obj["n"])
-        r = BlochVector(n, np.asarray(obj["coords"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+        r = BlochVector(n, serialize._floats(obj["coords"], "coords"))
+    except ValueError as exc:
         raise UsageError(f"--state file {args.state}: {exc}")
     g = build_generators(n)
     operator = bloch_to_operator(r, g)

@@ -21,6 +21,9 @@ of the eigenbasis kets (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -38,14 +41,22 @@ ZERO_PROBABILITY_ATOL = 1e-12
 RECORD_COUNT = 10  # full records kept by run_measurement
 
 _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter step
-# A window of run_measurement's stream holds at most _CHUNK_SAMPLES draws and
-# at most _WINDOW_BYTES of uniforms: 8192 draws for N <= 8, then 4096, 2048
-# and 1024 at N = 16, 32 and 64.  The uniforms and their gathered copy are the
-# two largest arrays, so one call's traced peak is 0.6 MB at N=2 and
-# 1.1-1.3 MB at N = 8, 16, 32 and 64; a draw cap alone let it reach 12.7 MB
-# at N=64.  32k draws ran slower at N=16.
+# A window of run_measurement's stream holds at most _CHUNK_SAMPLES draws, and
+# the windows that the workers of one call hold at once share _WINDOW_BYTES of
+# uniforms.  On one thread that is 8192 draws for N <= 8, then 4096, 2048 and
+# 1024 at N = 16, 32 and 64; two workers hold 8192 each up to N=4, then 4096
+# and 2048 at N = 8 and 16.  The uniforms and their gathered copy are the two
+# largest arrays, so one call's traced peak is 1.0-1.3 MB at N = 2...64 with
+# two workers (1.1-1.4 MB with four), against 0.6 MB at N=2 and 0.7 at N=4 on
+# one thread; a draw cap alone let it reach 12.7 MB at N=64.  32k draws ran
+# slower at N=16.  Split windows of fewer than _MIN_SPLIT_DRAWS draws ran no
+# faster than one thread at N=64, and a call of fewer than _MIN_SPLIT_WINDOWS
+# windows (the CLI's 1,000-sample runs) is not worth waking a helper for.
 _CHUNK_SAMPLES = 8192
 _WINDOW_BYTES = 512 * 1024
+_MAX_WORKERS = 4
+_MIN_SPLIT_DRAWS = 2048
+_MIN_SPLIT_WINDOWS = 4
 
 ObservableLike = Union[SpinObservable, tuple]
 
@@ -251,43 +262,165 @@ def _winning_vertices(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return ratios.argmin(axis=1)
 
 
-def _count_vertex_wins(n: int, seed: int, samples: int,
-                      weights: np.ndarray) -> np.ndarray:
-    """Per-vertex win counts of samples ``[0, samples)``: the counts of
-    ``_winning_vertices(barycentric_stream(n, seed, 0, samples), weights)``,
-    read from one pass over the stream in windows of at most
-    ``_CHUNK_SAMPLES`` draws and ``_WINDOW_BYTES`` of uniforms, so memory
-    grows neither with ``samples`` nor with ``n``.
+def _allowed_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _window_wins(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Win counts over ``positive`` of the draws in one window of uniforms.
 
     Rows are not normalized, since rescaling a row leaves the minimizer of
     lambda_j / w_j where it was.  With x_j = log1p(-u_j) = -e_j the
     minimizer of e_j / w_j is the first maximizer of x_j / w_j; the strict
     comparison keeps ties at the lowest index.
     """
-    positive = np.flatnonzero(weights > 0.0)
-    w = weights[positive][:, None]
-    stream = np.random.Generator(np.random.Philox(key=seed, counter=0))
+    x = np.ascontiguousarray(window.T[positive])
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x /= w
+    best = x[0]
+    winner = np.zeros(len(window), dtype=np.intp)
+    for j in range(1, len(positive)):
+        # j exceeds every earlier winner, so no branch on the data
+        np.maximum(winner, (x[j] > best) * j, out=winner)
+        np.maximum(best, x[j], out=best)
+    return np.bincount(winner, minlength=len(positive))
+
+
+class _Windows:
+    """The windows of one ``_count_vertex_wins`` call, counted by the calling
+    thread and any helpers it hands them to.
+
+    A worker claims the next window index from ``claims`` (``next`` on an
+    ``itertools.count`` is atomic under the GIL), so each worker's indices
+    rise.  Its Philox stream starts at its first window's counter, as
+    ``barycentric_stream`` starts one, and skips the windows others claimed;
+    it tallies its windows and adds the tally when none is left.  ``done`` is
+    set once every window is counted, or a worker failed: the call waits only
+    for windows already claimed, never for a helper that has not started.
+    """
+
+    def __init__(self, seed: int, samples: int, draws: int, width: int,
+                 weights: np.ndarray):
+        self.seed, self.samples, self.draws, self.width = seed, samples, draws, width
+        self.positive = np.flatnonzero(weights > 0.0)
+        self.w = weights[self.positive][:, None]
+        self.total = -(-samples // draws)
+        self.claims = itertools.count()
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+        self.counted = 0
+        self.wins = np.zeros(len(self.positive), dtype=np.intp)
+        self.error: Optional[BaseException] = None
+
+    def count(self) -> None:
+        """Claim, draw and tally windows until none is left, then add this
+        worker's tally to the call's."""
+        index = next(self.claims)
+        if index >= self.total:
+            return  # a helper that came after the last window was claimed
+        blocks = self.draws * (self.width // _DOUBLES_PER_BLOCK)  # Philox blocks per window
+        bits = np.random.Philox(key=self.seed, counter=index * blocks)
+        stream = np.random.Generator(bits)
+        u = np.empty((self.draws, self.width))
+        wins = np.zeros_like(self.wins)
+        counted = 0
+        try:
+            while index < self.total:
+                window = u[:self.samples - index * self.draws]
+                stream.random(out=window)
+                wins += _window_wins(window, self.positive, self.w)
+                counted += 1
+                last, index = index, next(self.claims)
+                if last + 1 < index < self.total:
+                    bits.advance((index - last - 1) * blocks)
+        except BaseException as exc:
+            self.error = exc
+            raise
+        finally:
+            with self.lock:
+                self.wins += wins
+                self.counted += counted
+                if self.counted == self.total or self.error is not None:
+                    self.done.set()
+
+
+class _Helpers:
+    """Daemon threads that count handed-out windows, started on first use and
+    kept for the life of the process."""
+
+    def __init__(self):
+        self.wake = threading.Condition()
+        self.handed: list[_Windows] = []
+        self.started = 0
+
+    def hand_out(self, windows: _Windows, helpers: int) -> None:
+        """Wake ``helpers`` threads on ``windows``.  Hand-outs no helper took
+        yet are dropped: their calls count their windows themselves."""
+        with self.wake:
+            for _ in range(self.started, helpers):
+                threading.Thread(target=self._serve, name="blochx-sampler",
+                                 daemon=True).start()
+            self.started = max(self.started, helpers)
+            self.handed = [windows] * helpers
+            self.wake.notify(helpers)
+
+    def _serve(self) -> None:
+        while True:
+            with self.wake:
+                while not self.handed:
+                    self.wake.wait()
+                windows = self.handed.pop()
+            try:
+                windows.count()
+            except BaseException:
+                pass  # count() passed the error to the waiting call
+
+
+_HELPERS = _Helpers()
+
+
+def _forget_helpers() -> None:
+    global _HELPERS
+    _HELPERS = _Helpers()  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _count_vertex_wins(n: int, seed: int, samples: int,
+                      weights: np.ndarray) -> np.ndarray:
+    """Per-vertex win counts of samples ``[0, samples)``: the counts of
+    ``_winning_vertices(barycentric_stream(n, seed, 0, samples), weights)``,
+    read in windows of at most ``_CHUNK_SAMPLES`` draws and, over all
+    workers together, ``_WINDOW_BYTES`` of uniforms, so memory grows neither
+    with ``samples`` nor with ``n``.
+
+    The calling thread and ``_HELPERS`` count the windows: up to
+    ``_MAX_WORKERS`` workers, no more than the allowed cores, and no more
+    than leave each window ``_MIN_SPLIT_DRAWS`` draws, so N >= 32 stays on
+    the calling thread.  So does a call of fewer than ``_MIN_SPLIT_WINDOWS``
+    split windows.  The counts are integer sums, the same whichever worker
+    draws which window.
+    """
     width = _blocks_per_sample(n) * _DOUBLES_PER_BLOCK
-    draws = min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width), samples)
-    u = np.empty((draws, width))
-    wins = np.zeros(len(positive), dtype=np.intp)
-    for start in range(0, samples, len(u)):
-        window = u[:samples - start]
-        stream.random(out=window)
-        x = np.ascontiguousarray(window.T[positive])
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        x /= w
-        best = x[0]
-        winner = np.zeros(len(window), dtype=np.intp)
-        for j in range(1, len(positive)):
-            # j exceeds every earlier winner, so no branch on the data
-            np.maximum(winner, (x[j] > best) * j, out=winner)
-            np.maximum(best, x[j], out=best)
-        wins += np.bincount(winner, minlength=len(positive))
-        del x, best, winner  # freed before the next window's copy is made
+    workers = min(_allowed_cores(), _MAX_WORKERS,
+                  max(1, _WINDOW_BYTES // (8 * width * _MIN_SPLIT_DRAWS)))
+    draws = min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width * workers))
+    if samples < _MIN_SPLIT_WINDOWS * draws:
+        workers, draws = 1, min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width))
+    windows = _Windows(seed, samples, min(draws, samples), width, weights)
+    if workers > 1:
+        _HELPERS.hand_out(windows, workers - 1)
+    windows.count()
+    windows.done.wait()
+    if windows.error is not None:
+        raise windows.error
     counts = np.zeros(n, dtype=np.intp)
-    counts[positive] = wins
+    counts[windows.positive] = windows.wins
     return counts
 
 
@@ -349,13 +482,17 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     per-outcome probabilities, empirical frequencies, binomial standard errors, the
     largest absolute deviation, and the first ``RECORD_COUNT`` (10) full records.
 
-    Outcomes are counted in windows of the stream, read in order, of at most
-    8192 draws and 512 KiB of uniforms, and no disintegration point is kept:
-    memory grows neither with ``samples`` nor with N (traced peak about
-    0.6 MB at N=2 and 1.1-1.3 MB at N=8, 16, 32 and 64), and the counts do
-    not depend on the window size.  Only the recorded
-    samples are drawn again, by :func:`sample_collapse`'s path in one call, so
-    each record's ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
+    Outcomes are counted in windows of the stream of at most 8192 draws, and
+    no disintegration point is kept.  Up to four workers, no more than the
+    process's allowed cores, count the windows: the calling thread and helper
+    threads started on first use, each claiming one window at a time.  All
+    windows held at once share 512 KiB of uniforms, so memory grows neither
+    with ``samples`` nor with N (traced peak 1.0-1.3 MB at N = 2...64 with
+    two workers).  Runs of fewer than four windows, and N >= 32, stay on the
+    calling thread.  The counts depend neither on the window size nor on
+    which worker counted which window.  Only the recorded samples are drawn
+    again, by :func:`sample_collapse`'s path in one call, so each record's
+    ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

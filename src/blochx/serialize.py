@@ -31,14 +31,32 @@ def matrix_to_json(m) -> list:
     return [[complex_to_json(z) for z in row] for row in m]
 
 
+def _floats(obj, what: str) -> np.ndarray:
+    """A regular nesting of finite JSON numbers as one float array.  Ragged
+    nesting, nulls, strings, bools (which numpy would read as 0 and 1), NaN,
+    infinities and integers beyond float range raise ValueError."""
+    try:
+        leaves = np.array(obj, dtype=object)
+    except ValueError:
+        raise ValueError(f"{what} is not a regular nesting of lists") from None
+    if not all(type(x) in (int, float) for x in leaves.flat):
+        raise ValueError(f"{what} must hold only numbers")
+    try:
+        parts = leaves.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer beyond float range") from None
+    if not np.isfinite(parts).all():
+        raise ValueError(f"{what} must hold finite numbers")
+    return parts
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    rows = []
-    for row in obj:
-        rows.append([complex(float(z[0]), float(z[1])) for z in row])
-    m = np.array(rows, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix JSON is not square, shape {m.shape}")
-    return m
+    """A square complex matrix from rows of [re, im] cells, of shape (N, N, 2)."""
+    parts = _floats(obj, "matrix JSON")
+    n = len(parts) if parts.ndim else 0
+    if parts.shape != (n, n, 2):
+        raise ValueError(f"matrix JSON must have shape (N, N, 2), got {parts.shape}")
+    return parts.view(complex).reshape(n, n)
 
 
 def _format_number(x) -> str:

@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import blochx
 from blochx import cli, serialize, spin
@@ -563,6 +569,22 @@ class TestSizeLimits:
                           "0,0,1", "--basis", "product"])
         assert cfg.s2 == 3.5
 
+    def test_oversized_trials_are_refused_before_anything_is_built(self, nothing_built,
+                                                                     capsys):
+        argv = ["verify", "--prop", "1", "--s", "0.5", "--trials", "100000000000"]
+        with pytest.raises(cli.UsageError, match="above the limit of 1000000"):
+            parse_args(argv)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert parse_args(["verify", "--prop", "1", "--s", "0.5",
+                           "--trials", str(cli.MAX_TRIALS)]).trials == cli.MAX_TRIALS
+
+    def test_trials_bound_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "1,000,000" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["generators", "--n", "65"],
         ["measure", "--s", "32", "--direction", "0,0,1", "--state", "psi.json",
@@ -572,3 +594,108 @@ class TestSizeLimits:
         result = run_cli(argv, tmp_path, timeout=30)
         assert result.returncode == 1
         assert "above the limit of 64" in result.stderr
+
+
+# --state files a little off the valid ones: each mutation below makes the file
+# invalid, so the CLI must answer with exit 1 or 2 and one error line
+VALID_MATRIX = {"n": 2, "matrix": [[[0.5, 0.0], [0.25, -0.125]],
+                                   [[0.25, 0.125], [0.5, 0.0]]]}
+VALID_COORDS = {"n": 2, "coords": [0.125, -0.25, 0.375]}
+NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.just(float("nan")), st.just(float("inf")),
+                         st.just(float("-inf")), st.just(10 ** 400),
+                         st.lists(st.floats(0, 1), max_size=2), st.just({"re": 0.5}))
+NOT_A_CELL = st.one_of(NOT_A_NUMBER, st.floats(-1, 1), st.integers(-3, 3),
+                       st.lists(st.floats(-1, 1), min_size=3, max_size=4),
+                       st.lists(st.floats(-1, 1), max_size=1))
+
+
+@st.composite
+def near_valid_state(draw):
+    kind = draw(st.sampled_from(["part", "cell", "extra part", "missing part", "row",
+                                 "nesting", "matrix", "n", "coord", "coords"]))
+    obj = copy.deepcopy(VALID_COORDS if kind in ("n", "coord", "coords") else VALID_MATRIX)
+    i, j, k = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    m = obj.get("matrix")
+    if kind == "part":
+        m[i][j][k] = draw(NOT_A_NUMBER)
+    elif kind == "cell":
+        m[i][j] = draw(NOT_A_CELL)
+    elif kind == "extra part":
+        m[i][j].append(draw(st.one_of(st.floats(-1, 1), NOT_A_NUMBER)))
+    elif kind == "missing part":
+        del m[i][j][k]
+    elif kind == "row":
+        if draw(st.booleans()):
+            del m[i][j]
+        else:
+            m.append(m[i][:j + 1])
+    elif kind == "nesting":
+        obj["matrix"] = draw(st.sampled_from([[m], m[0], [c for row in m for c in row],
+                                              [[[cell] for cell in row] for row in m]]))
+    elif kind == "matrix":
+        obj["matrix"] = draw(NOT_A_CELL)
+    elif kind == "n":
+        obj["n"] = draw(st.one_of(NOT_A_NUMBER, st.sampled_from([2.0, 2.7, "2"]),
+                                  st.integers(3, 10 ** 12), st.integers(-5, 1)))
+    elif kind == "coord":
+        obj["coords"][i + j] = draw(NOT_A_NUMBER)
+    else:
+        obj["coords"] = draw(st.one_of(NOT_A_NUMBER, st.floats(-1, 1),
+                                       st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=8),
+                                       st.just([VALID_COORDS["coords"]])))
+    return obj
+
+
+def run_main_on_state(obj, command):
+    """Write ``obj`` as a --state file and run the CLI on it in-process;
+    returns (exit code, stdout, stderr).  A numpy warning fails the call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(obj))
+        argv = (["bloch", "--state", str(path)] if command == "bloch" else
+                ["measure", "--s", "0.5", "--direction", "0,0,1", "--state", str(path),
+                 "--samples", "10"])
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=near_valid_state(), command=st.sampled_from(["bloch", "measure"]))
+# malformed files that once escaped the exit-code contract
+@example(obj={"n": 2, "matrix": [[0.5, [0, 0]], [[0, 0], [0.5, 0]]]}, command="bloch")
+@example(obj={"n": 2, "matrix": [[[0.5], [0, 0]], [[0, 0], [0.5, 0]]]}, command="bloch")
+@example(obj={"n": 2, "matrix": [[[0.5, None], [0, 0]], [[0, 0], [0.5, 0]]]},
+         command="measure")
+@example(obj={"n": 2, "matrix": 5}, command="bloch")
+@example(obj={"n": 2, "matrix": [[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]]},
+         command="bloch")
+@example(obj={"n": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+         command="measure")
+@example(obj={"n": 2.7, "coords": [0.125, -0.25, 0.375]}, command="bloch")
+def test_near_valid_state_files_are_usage_errors(obj, command):
+    code, out, err = run_main_on_state(obj, command)
+    assert code in (1, 2)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("obj", [VALID_MATRIX, VALID_COORDS])
+def test_valid_state_files_still_pass(obj):
+    code, out, err = run_main_on_state(obj, "bloch")
+    assert code == 0 and err == ""
+    assert json.loads(out)["n"] == 2
+
+
+def test_matrix_from_json_keeps_every_bit():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m[0, 1] = complex(-0.0, 0.0)
+    m[1, 0] = complex(0.0, -0.0)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert back.dtype == complex and back.tobytes() == m.tobytes()

@@ -1,5 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,8 @@ from blochx.measurement import (OnSimplexState, approach_trajectory,
                                 simplex_from_observable)
 from blochx.spin import Direction3, X3, build_spin_system, spin_along
 from conftest import ket_state, random_observable_frame
+
+SRC_ROOT = Path(measurement.__file__).resolve().parents[1]
 
 
 def spin_simplex(s, direction=X3):
@@ -597,3 +605,119 @@ def test_sampler_memory_is_flat_in_the_sample_count():
     small = traced_peak(psi, m, g, 200_000)
     large = traced_peak(psi, m, g, 2_000_000)
     assert large <= 1.5 * small
+
+
+def zero_weight_state(m, rng):
+    """A state on the eigenstates of a random half of the vertices, so the
+    other half have weight zero."""
+    support = rng.permutation(m.dim_n)[:max(1, m.dim_n // 2)]
+    return DensityState(m.projectors[support].sum(axis=0) / len(support))
+
+
+def split_cases():
+    rng = np.random.default_rng(301)
+    for n in (2, 5, 16):
+        g = build_generators(n)
+        m = simplex_from_observable(random_observable_frame(n, rng), g)
+        yield f"N={n}", m, g, random_density(n, rng)
+        yield f"N={n} zero weights", m, g, zero_weight_state(m, rng)
+    m, g = coupled_half_half()
+    yield "1/2x1/2 coupled", m, g, random_density(4, rng)
+
+
+@pytest.mark.parametrize("chunk,samples", ((1, 300), (7, 1000), (8192, 40_000)))
+@pytest.mark.parametrize("case", list(split_cases()), ids=lambda case: case[0])
+def test_counts_do_not_depend_on_the_worker_count(case, chunk, samples, monkeypatch):
+    _, m, g, psi = case
+    monkeypatch.setattr(measurement, "_CHUNK_SAMPLES", chunk)
+    runs = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(measurement, "_allowed_cores", lambda workers=workers: workers)
+        runs.append(run_measurement(psi, m, samples, 83, generators=g))
+    for stats in runs:
+        assert np.array_equal(stats.counts, stream_counts(stats, 83))
+
+
+def test_a_worker_reads_its_claimed_windows_at_their_counters():
+    n, samples, draws = 5, 1003, 100
+    weights = np.random.default_rng(89).dirichlet(np.ones(n))
+    windows = measurement._Windows(89, samples, draws, 8, weights)
+    # two workers whose claims interleave; the last claim of each is past the end
+    for claims in ([1, 4, 5, 9, 10, 11], [0, 2, 3, 6, 7, 8, 12]):
+        windows.claims = iter(claims)
+        windows.count()
+    assert windows.done.is_set() and windows.counted == windows.total == 11
+    lam = barycentric_stream(n, 89, 0, samples)
+    expected = np.bincount(measurement._winning_vertices(lam, weights), minlength=n)
+    assert np.array_equal(windows.wins, expected[windows.positive])
+
+
+@pytest.mark.parametrize("s,samples,split", ((0.5, 1_000, False), (0.5, 40_000, True),
+                                             (7.5, 40_000, True), (15.5, 100_000, False)))
+def test_helpers_start_only_for_a_split_worth_making(s, samples, split, monkeypatch):
+    # below four windows, or under 2048 draws a split window (N >= 32), one thread counts
+    helpers = measurement._Helpers()
+    monkeypatch.setattr(measurement, "_HELPERS", helpers)
+    monkeypatch.setattr(measurement, "_allowed_cores", lambda: 4)
+    m, g = spin_simplex(s)
+    run_measurement(random_density(m.dim_n, np.random.default_rng(97)), m, samples, 97,
+                    generators=g)
+    assert (helpers.started > 0) == split
+
+
+def test_a_failing_helper_fails_the_call(monkeypatch):
+    helpers = measurement._Helpers()
+    monkeypatch.setattr(measurement, "_HELPERS", helpers)
+    monkeypatch.setattr(measurement, "_allowed_cores", lambda: 2)
+    calls = []
+    real = measurement._window_wins
+
+    def fail_off_the_calling_thread(*args):
+        calls.append(threading.current_thread())
+        if calls[-1] is not threading.main_thread():
+            raise MemoryError("window")
+        time.sleep(0.01)  # leave windows for the helper
+        return real(*args)
+
+    monkeypatch.setattr(measurement, "_window_wins", fail_off_the_calling_thread)
+    m, g = spin_simplex(0.5)
+    psi = random_density(2, np.random.default_rng(101))
+    try:
+        stats = run_measurement(psi, m, 200_000, 101, generators=g)
+    except MemoryError:
+        return
+    # the helper got no window before the calling thread had counted them all
+    assert all(t is threading.main_thread() for t in calls)
+    assert np.array_equal(stats.counts, stream_counts(stats, 101))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_counts_without_its_parents_helpers(monkeypatch):
+    monkeypatch.setattr(measurement, "_HELPERS", measurement._Helpers())
+    monkeypatch.setattr(measurement, "_allowed_cores", lambda: 2)
+    m, g = spin_simplex(0.5)
+    psi = random_density(2, np.random.default_rng(103))
+    parent = run_measurement(psi, m, 40_000, 103, generators=g).counts
+    assert measurement._HELPERS.started == 1
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            fresh = measurement._HELPERS.started == 0
+            counts = run_measurement(psi, m, 40_000, 103, generators=g).counts
+            os.write(write, b"ok" if fresh and np.array_equal(counts, parent) else b"no")
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        answer = pipe.read()
+    os.waitpid(pid, 0)
+    assert answer == b"ok"
+
+
+def test_cli_start_up_does_not_import_concurrent_futures():
+    code = "import sys, blochx.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_ROOT)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -325,7 +325,7 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
     if type(n) is not int:  # bool is a subclass of int, and 2.7 would pass int()
         raise UsageError(f"--state file {args.state}: 'n' must be an integer, got {n!r}")
     try:
-        r = BlochVector(n, serialize._floats(obj["coords"], "coords"))
+        r = BlochVector(n, serialize._floats(obj["coords"], "coords", 1))
     except ValueError as exc:
         raise UsageError(f"--state file {args.state}: {exc}")
     g = build_generators(n)

@@ -49,9 +49,10 @@ _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter st
 # largest arrays, so one call's traced peak is 1.0-1.3 MB at N = 2...64 with
 # two workers (1.1-1.4 MB with four), against 0.6 MB at N=2 and 0.7 at N=4 on
 # one thread; a draw cap alone let it reach 12.7 MB at N=64.  32k draws ran
-# slower at N=16.  Split windows of fewer than _MIN_SPLIT_DRAWS draws ran no
-# faster than one thread at N=64, and a call of fewer than _MIN_SPLIT_WINDOWS
-# windows (the CLI's 1,000-sample runs) is not worth waking a helper for.
+# slower at N=16.  Two workers on split windows of 1024 and 512 draws (N = 32
+# and 64) ran 0.76-1.0x as fast as one thread while using 1.6 cores, hence
+# _MIN_SPLIT_DRAWS; a call of fewer than _MIN_SPLIT_WINDOWS windows (the
+# CLI's 1,000-sample runs) is not worth waking a helper for.
 _CHUNK_SAMPLES = 8192
 _WINDOW_BYTES = 512 * 1024
 _MAX_WORKERS = 4
@@ -375,8 +376,8 @@ class _Helpers:
                 windows = self.handed.pop()
             try:
                 windows.count()
-            except BaseException:
-                pass  # count() passed the error to the waiting call
+            except Exception:
+                pass  # count() handed it to the waiting call
 
 
 _HELPERS = _Helpers()

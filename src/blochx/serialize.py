@@ -31,14 +31,17 @@ def matrix_to_json(m) -> list:
     return [[complex_to_json(z) for z in row] for row in m]
 
 
-def _floats(obj, what: str) -> np.ndarray:
-    """A regular nesting of finite JSON numbers as one float array.  Ragged
-    nesting, nulls, strings, bools (which numpy would read as 0 and 1), NaN,
-    infinities and integers beyond float range raise ValueError."""
+def _floats(obj, what: str, ndim: int) -> np.ndarray:
+    """Lists of finite JSON numbers nested ``ndim`` levels deep, as one float
+    array.  Ragged or deeper nesting, nulls, strings, bools (which numpy
+    would read as 0 and 1), NaN, infinities and integers beyond float range
+    raise ValueError."""
     try:
         leaves = np.array(obj, dtype=object)
     except ValueError:
         raise ValueError(f"{what} is not a regular nesting of lists") from None
+    if leaves.ndim != ndim:
+        raise ValueError(f"{what} must nest numbers {ndim} levels deep, got {leaves.ndim}")
     if not all(type(x) in (int, float) for x in leaves.flat):
         raise ValueError(f"{what} must hold only numbers")
     try:
@@ -52,8 +55,8 @@ def _floats(obj, what: str) -> np.ndarray:
 
 def matrix_from_json(obj) -> np.ndarray:
     """A square complex matrix from rows of [re, im] cells, of shape (N, N, 2)."""
-    parts = _floats(obj, "matrix JSON")
-    n = len(parts) if parts.ndim else 0
+    parts = _floats(obj, "matrix JSON", 3)
+    n = len(parts)
     if parts.shape != (n, n, 2):
         raise ValueError(f"matrix JSON must have shape (N, N, 2), got {parts.shape}")
     return parts.view(complex).reshape(n, n)

@@ -677,6 +677,9 @@ def run_main_on_state(obj, command):
 @example(obj={"n": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
          command="measure")
 @example(obj={"n": 2.7, "coords": [0.125, -0.25, 0.375]}, command="bloch")
+# nested past numpy's 32 iterator dimensions
+@example(obj={"n": 2, "matrix": [[[[[0.5]]]]] * 8}, command="bloch")
+@example(obj={"n": 2, "matrix": json.loads("[" * 40 + "0.5" + "]" * 40)}, command="bloch")
 def test_near_valid_state_files_are_usage_errors(obj, command):
     code, out, err = run_main_on_state(obj, command)
     assert code in (1, 2)

@@ -691,6 +691,30 @@ def test_a_failing_helper_fails_the_call(monkeypatch):
     assert np.array_equal(stats.counts, stream_counts(stats, 101))
 
 
+def test_more_workers_than_cores_lose_no_window(monkeypatch):
+    # four workers on tiny windows, with a thread switch as often as the
+    # interpreter allows: a lost tally or a window counted twice changes the counts
+    monkeypatch.setattr(measurement, "_HELPERS", measurement._Helpers())
+    monkeypatch.setattr(measurement, "_allowed_cores", lambda: 4)
+    monkeypatch.setattr(measurement, "_CHUNK_SAMPLES", 7)
+    m, g = spin_simplex(1.5)
+    psi = random_density(4, np.random.default_rng(107))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: results.extend(
+            run_measurement(psi, m, 20_000 + seed, seed, generators=g) for seed in range(5)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(results) == 5
+    assert measurement._HELPERS.started == 3
+    for seed, stats in enumerate(results):
+        assert np.array_equal(stats.counts, stream_counts(stats, seed))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_counts_without_its_parents_helpers(monkeypatch):
     monkeypatch.setattr(measurement, "_HELPERS", measurement._Helpers())
@@ -709,10 +733,15 @@ def test_a_forked_child_counts_without_its_parents_helpers(monkeypatch):
         finally:
             os._exit(0)
     os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        time.sleep(0.01)
     with os.fdopen(read, "rb") as pipe:
-        answer = pipe.read()
-    os.waitpid(pid, 0)
-    assert answer == b"ok"
+        assert pipe.read() == b"ok"
 
 
 def test_cli_start_up_does_not_import_concurrent_futures():

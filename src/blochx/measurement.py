@@ -403,9 +403,9 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     The calling thread and ``_HELPERS`` count the windows: up to
     ``_MAX_WORKERS`` workers, no more than the allowed cores, and no more
     than leave each window ``_MIN_SPLIT_DRAWS`` draws, so N >= 32 stays on
-    the calling thread.  So does a call of fewer than ``_MIN_SPLIT_WINDOWS``
-    split windows.  The counts are integer sums, the same whichever worker
-    draws which window.
+    the calling thread.  So does a call of fewer draws than
+    ``_MIN_SPLIT_WINDOWS`` split windows hold.  The counts are integer sums,
+    the same whichever worker draws which window.
     """
     width = _blocks_per_sample(n) * _DOUBLES_PER_BLOCK
     workers = min(_allowed_cores(), _MAX_WORKERS,

@@ -6,9 +6,10 @@ Every subcommand writes one deterministic pretty-printed JSON report
 excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
 2 numerical validation failure.  ``generators --n``, the spin flags and
 composites refuse Hilbert space dimensions above 64 (the generators report
-holds N^4 entries, and the eigenstate simplex N^3) as usage errors before
-anything is built; ``bloch --state`` files set no such limit.  ``verify``
-refuses more than 1,000,000 ``--trials`` the same way.  A ``--state`` file
+holds N^4 entries, and the eigenstate simplex N (N^2 - 1) vertex floats) as
+usage errors before anything is built; ``bloch --state`` files set no such
+limit.  ``verify`` refuses more than 1,000,000 ``--trials``, and ``measure``
+more than 1,000 ``--trajectory-steps``, the same way.  A ``--state`` file
 holds a ``matrix`` of shape (N, N, 2) or an integer ``n`` with ``coords``,
 numbers only; anything else is a usage error.  The
 generators report is written one member at a time as it is formatted, from
@@ -38,7 +39,7 @@ from .correspondence import (direction_scale_composite, direction_scale_single,
                              v_overlap_with_extremal)
 from .generators import GeneratorSet, build_generators
 from .linalg import ValidationError
-from .measurement import run_measurement, simplex_from_observable
+from .measurement import approach_trajectory, run_measurement, simplex_from_observable
 from .spin import X1, X2, X3, Direction3, build_spin_system, check_spin, spin_along
 
 SCHEMA_VERSION = 1
@@ -47,7 +48,8 @@ DEFAULT_ISO_TOLERANCE = 1e-9
 SPACING_TOLERANCE = 1e-10
 AGREEMENT_TOLERANCE = 1e-10
 MAX_DIM = 64
-MAX_TRIALS = 1_000_000  # verify keeps every direction, about 0.6 KB per trial
+MAX_TRIALS = 1_000_000  # verify keeps about 56 B per trial, so this bounds its run time
+MAX_TRAJECTORY_STEPS = 1_000  # each step holds a coordinate vector, 32 KB at N=64
 
 
 class UsageError(Exception):
@@ -136,6 +138,8 @@ def _steps_flag(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 steps, got {value}")
+    if value > MAX_TRAJECTORY_STEPS:
+        raise argparse.ArgumentTypeError(f"{value} steps is above the limit of {MAX_TRAJECTORY_STEPS}")
     return value
 
 
@@ -168,7 +172,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_parse_seed_flag, default=None)
     p.add_argument("--trajectory-steps", type=_steps_flag, default=None,
-                   help="also write the approach path as CSV, at least 2 points (needs --out)")
+                   help=f"also write the approach path as CSV, 2 to {MAX_TRAJECTORY_STEPS:,} "
+                   "points (needs --out)")
     p.add_argument("--out", dest="output", default=None)
 
     p = sub.add_parser("compose", help="emit a two-spin eigenbasis")
@@ -369,15 +374,15 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         raise UsageError(f"--state dimension {psi.dim} does not match --s {sys_.s} (N={sys_.dim})")
     g = build_generators(sys_.dim)
     obs = spin_along(sys_, args.direction)
-    stats = run_measurement(psi, obs, args.samples, args.seed, generators=g,
-                            trajectory_steps=args.trajectory_steps)
+    stats = run_measurement(psi, obs, args.samples, args.seed, generators=g)
 
     trajectory_csv = None
-    if stats.trajectory is not None:
+    if args.trajectory_steps is not None:
         path = _trajectory_csv_path(args.output)
         width = sys_.dim * sys_.dim - 1
         lines = ["tau," + ",".join(f"coord_{i}" for i in range(width))]
-        for tau, point in stats.trajectory:
+        for tau, point in approach_trajectory(state_to_bloch(psi, g), stats.simplex,
+                                              args.trajectory_steps):
             lines.append(format(tau, ".17g") + ","
                          + ",".join(format(x, ".17g") for x in point.coords))
         try:

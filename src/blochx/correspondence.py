@@ -13,11 +13,11 @@ of its whole eigenbasis from one stacked pass over its kets (``bloch._bloch_rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .bloch import BlochVector, _bloch_rows, bloch_to_operator
+from .bloch import BlochVector, _bloch_rows, _projectors, bloch_to_operator
 from .composite import CompositeSpinSystem, coupled_basis, product_basis
 from .generators import GeneratorSet
 from .measurement import MeasurementSimplex
@@ -91,27 +91,25 @@ def verify_isomorphism(make_vector: Callable[[Direction3], SpaceVector],
                      - n.components @ n_prime.components))
 
 
-def random_directions(count: int, seed: int) -> list[Direction3]:
-    """Seeded uniform directions on the sphere from normalized Gaussians."""
+def random_directions(count: int, seed: int) -> Iterator[Direction3]:
+    """Seeded uniform directions on the sphere from normalized Gaussians,
+    yielded one at a time from a single (count, 3) draw; a near-zero row is
+    redrawn from the same stream when its turn comes."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    raw = rng.standard_normal((count, 3))
-    directions = []
-    for row in raw:
+    for row in rng.standard_normal((count, 3)):
         while np.linalg.norm(row) < 1e-12:
             row = rng.standard_normal(3)
-        directions.append(Direction3.normalized(row))
-    return directions
+        yield Direction3.normalized(row)
 
 
 def isomorphism_sweep(make_vector: Callable[[Direction3], SpaceVector],
                       trials: int, seed: int) -> np.ndarray:
     """Deviations |v.v' - n.n'| over ``trials`` seeded random direction
-    pairs."""
+    pairs, drawn as they are used, so only the deviations are kept."""
     directions = random_directions(2 * trials, seed)
-    return np.array([
-        verify_isomorphism(make_vector, directions[2 * i], directions[2 * i + 1])
-        for i in range(trials)
-    ])
+    return np.fromiter((verify_isomorphism(make_vector, n, n_prime)
+                        for n, n_prime in zip(directions, directions)),
+                       float, count=trials)
 
 
 def eigenstate_projections(v: SpaceVector, m: MeasurementSimplex) -> np.ndarray:
@@ -137,5 +135,5 @@ def v_overlap_with_extremal(v: SpaceVector, m: MeasurementSimplex,
     if not v.source.startswith("single"):
         raise ValueError("extremal overlap is defined for single-entity sources")
     operator = bloch_to_operator(BlochVector(v.dim_n, v.coords), g)
-    lowest = m.projectors[int(np.argmin(m.eigenvalues))]
+    lowest = _projectors(m.kets[[int(np.argmin(m.eigenvalues))]])[0]
     return float(np.trace(operator @ lowest).real)

@@ -16,8 +16,8 @@ disintegration of the simplex at a uniformly distributed interior point
 whose containing sub-simplex selects the outcome, and a deterministic
 return to the appropriate final state (an eigenstate vertex, or the
 renormalized projection onto the eigenspace for a degenerate outcome).
-The simplex vertices come from one stacked coordinate pass over the projectors
-of the eigenbasis kets (``bloch._bloch_rows``).
+A simplex keeps its eigenstate kets, not their projectors; its vertices come
+from one stacked coordinate pass over the kets (``bloch._bloch_rows``).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class MeasurementSimplex:
     """The eigenstate simplex of a measurement.
 
     ``vertices`` holds the N unit coordinate vectors as rows, sorted by
-    eigenvalue ascending; ``projectors`` the matching rank-1 projectors;
+    eigenvalue ascending; ``kets`` the matching eigenstates, also as rows;
     ``degeneracy_groups`` partitions vertex indices by equal eigenvalue
     (within 1e-9), ordered by eigenvalue, and defines the outcome list.
     """
@@ -75,9 +75,15 @@ class MeasurementSimplex:
     dim_n: int
     vertices: np.ndarray
     eigenvalues: np.ndarray
-    projectors: np.ndarray
+    kets: np.ndarray
     degeneracy_groups: tuple[tuple[int, ...], ...]
     vertex_group: np.ndarray
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The rank-1 projectors v v† of ``kets`` as one (N, N, N) stack, built
+        on each access for readers outside the library; blochx reads ``kets``."""
+        return _projectors(self.kets)
 
     @property
     def n_outcomes(self) -> int:
@@ -124,7 +130,6 @@ class MeasurementStatistics:
     std_errors: np.ndarray
     max_abs_deviation: float
     records_sample: tuple[MeasurementRecord, ...]
-    trajectory: Optional[list] = None
 
 
 def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> MeasurementSimplex:
@@ -132,8 +137,8 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     ``obs`` is either a :class:`SpinObservable` or a ``(kets, eigenvalues)``
     pair whose N x N ``kets`` hold an orthonormal eigenbasis as rows; any
-    other shape raises ValueError.  Vertices and the projectors v v† of the
-    kets are stored sorted by eigenvalue ascending (stable).
+    other shape raises ValueError.  Vertices and kets are stored sorted by
+    eigenvalue ascending (stable).
     """
     if isinstance(obs, SpinObservable):
         kets, values = obs.kets, obs.eigenvalues
@@ -146,14 +151,14 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
 
     order = np.argsort(values, kind="stable")
     values = values[order]
-    projectors = _projectors(kets[order])
+    kets = kets[order]
 
-    # Tr(P_a P_b) as one matrix product of the flattened P_a and P_b^T
-    gram = projectors.reshape(n, -1) @ projectors.transpose(0, 2, 1).reshape(n, -1).T
+    # <v_a|v_b> for every pair of rows
+    gram = kets.conj() @ kets.T
     if not np.max(np.abs(gram - np.eye(n))) <= ORTHONORMALITY_ATOL:  # NaN fails too
         raise ValidationError("eigenstates do not form an orthonormal rank-1 family")
 
-    vertices = _bloch_rows(projectors, g)
+    vertices = _bloch_rows(kets, g)
     dots = vertices @ vertices.T
     expected = -np.ones((n, n)) / (n - 1) + (1.0 + 1.0 / (n - 1)) * np.eye(n)
     if np.max(np.abs(dots - expected)) > VERTEX_GEOMETRY_ATOL:
@@ -167,7 +172,7 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
         for v in grp:
             vertex_group[v] = gi
     return MeasurementSimplex(dim_n=n, vertices=vertices, eigenvalues=values,
-                              projectors=projectors, degeneracy_groups=groups,
+                              kets=kets, degeneracy_groups=groups,
                               vertex_group=vertex_group)
 
 
@@ -425,12 +430,11 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     return counts
 
 
-def lueders_post_state(psi: DensityState, group: Sequence[int],
-                       projectors: np.ndarray) -> DensityState:
-    """Post-state of a (possibly degenerate) outcome: the state projected
-    onto the outcome's eigenspace and renormalized, P_G psi P_G / Tr(P_G psi).
-    For a pure input the result is pure again."""
-    pg = np.sum([projectors[i] for i in group], axis=0)
+def lueders_post_state(psi: DensityState, kets: np.ndarray) -> DensityState:
+    """Post-state of a (possibly degenerate) outcome whose eigenspace the rows
+    of ``kets`` span: the state projected onto it and renormalized,
+    P_G psi P_G / Tr(P_G psi).  For a pure input the result is pure again."""
+    pg = _projectors(np.asarray(kets, dtype=complex)).sum(axis=0)
     prob = float(np.trace(pg @ psi.matrix).real)
     if prob <= ZERO_PROBABILITY_ATOL:
         raise ValueError("outcome group has vanishing probability")
@@ -442,11 +446,11 @@ def _post_state(m: MeasurementSimplex, group_index: int,
     group = m.degeneracy_groups[group_index]
     if len(group) == 1:
         # v v† of a ket that passed simplex_from_observable's orthonormality check
-        return DensityState._psd(m.projectors[group[0]])
+        return DensityState._psd(_projectors(m.kets[list(group)])[0])
     if psi is None:
         raise ValueError("degenerate outcome requires the pre-measurement state "
                          "to form its post-state")
-    return lueders_post_state(psi, group, m.projectors)
+    return lueders_post_state(psi, m.kets[list(group)])
 
 
 def _records(weights: np.ndarray, m: MeasurementSimplex, seed: int, start: int,
@@ -472,8 +476,7 @@ def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
 
 
 def run_measurement(psi: DensityState, obs, samples: int, seed: int,
-                    generators: GeneratorSet,
-                    trajectory_steps: Optional[int] = None) -> MeasurementStatistics:
+                    generators: GeneratorSet) -> MeasurementStatistics:
     """Measure ``psi`` repeatedly and aggregate the outcome statistics.
 
     ``obs`` may be a :class:`SpinObservable`, a (kets, eigenvalues) pair, or a
@@ -499,8 +502,7 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
         raise ValueError(f"need at least one sample, got {samples}")
     m = obs if isinstance(obs, MeasurementSimplex) else simplex_from_observable(obs, generators)
 
-    r = state_to_bloch(psi, generators)
-    on = project_onto_simplex(r, m)
+    on = project_onto_simplex(state_to_bloch(psi, generators), m)
     weights = _sanitize_weights(on.weights)
 
     vertex_counts = _count_vertex_wins(m.dim_n, seed, samples, weights)
@@ -515,15 +517,9 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     max_dev = float(np.max(np.abs(empirical - born)))
 
     records = _records(weights, m, seed, 0, min(RECORD_COUNT, samples), psi)
-
-    trajectory = None
-    if trajectory_steps is not None:
-        trajectory = approach_trajectory(r, m, trajectory_steps)
-
     return MeasurementStatistics(simplex=m, samples=samples, seed=seed,
                                  vertex_weights=weights, born=born,
                                  counts=counts, empirical=empirical,
                                  std_errors=std_errors,
                                  max_abs_deviation=max_dev,
-                                 records_sample=tuple(records),
-                                 trajectory=trajectory)
+                                 records_sample=tuple(records))

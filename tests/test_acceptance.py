@@ -159,7 +159,7 @@ def test_criterion_7_degenerate_measurement():
     tolerance = max(0.01, 5 * np.sqrt(fused_born * (1 - fused_born) / samples))
     mc_ok = abs(stats.empirical[fused_index] - fused_born) < tolerance
 
-    post = lueders_post_state(psi, m.degeneracy_groups[fused_index], m.projectors)
+    post = lueders_post_state(psi, m.kets[list(m.degeneracy_groups[fused_index])])
     pg = sum(m.projectors[i] for i in m.degeneracy_groups[fused_index])
     expected = pg @ psi.matrix @ pg / np.trace(pg @ psi.matrix).real
     lueders_err = float(np.max(np.abs(post.matrix - expected)))

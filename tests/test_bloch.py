@@ -364,7 +364,7 @@ def test_user_facing_constructors_check_the_eigenvalues():
     psi = random_density(3, rng)
     for make in (lambda: random_density(4, rng),
                  lambda: pure_state_from_direction(0.4, 1.1),
-                 lambda: lueders_post_state(psi, [0, 1], m.projectors)):
+                 lambda: lueders_post_state(psi, m.kets[[0, 1]])):
         with _eigvalsh_spy() as spy:
             make()
         assert spy.call_count >= 1

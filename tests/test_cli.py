@@ -556,6 +556,22 @@ class TestSizeLimits:
         assert main(argv) == 1
         assert "need at least 2 steps, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["1001", "1000000000000000"])
+    def test_oversized_trajectory_is_refused_before_sampling(self, steps, nothing_built,
+                                                             monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the steps check")
+        monkeypatch.setattr(cli, "run_measurement", refuse)
+        argv = ["measure", "--s", "0.5", "--direction", "0,0,1", "--state", "psi.json",
+                "--samples", "10", "--trajectory-steps", steps, "--out", "out.json"]
+        with pytest.raises(cli.UsageError, match="above the limit of 1000"):
+            parse_args(argv)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert parse_args(argv[:-4] + ["--trajectory-steps", str(cli.MAX_TRAJECTORY_STEPS),
+                                       "--out", "out.json"]).trajectory_steps == 1000
+
     def test_dimension_below_two_is_refused_by_the_flag(self, capsys):
         with pytest.raises(cli.UsageError, match="at least 2"):
             parse_args(["generators", "--n", "1"])
@@ -584,6 +600,11 @@ class TestSizeLimits:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert "1,000,000" in capsys.readouterr().out
+
+    def test_trajectory_bound_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["measure", "--help"])
+        assert "2 to 1,000 points" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["generators", "--n", "65"],

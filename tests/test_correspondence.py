@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import BlochVector, bloch_to_operator, is_state, state_to_bloch
 from blochx.composite import build_composite, coupled_basis
-from blochx.correspondence import (direction_scale_composite,
+from blochx.correspondence import (SpaceVector, direction_scale_composite,
                                    direction_scale_single,
                                    eigenstate_projections, isomorphism_sweep,
                                    random_directions, space_vector_composite,
@@ -208,11 +210,33 @@ class TestSpaceVectorComposite:
 
 class TestRandomDirections:
     def test_seeded_and_unit(self):
-        a = random_directions(10, seed=3)
-        b = random_directions(10, seed=3)
+        a = list(random_directions(10, seed=3))
+        b = list(random_directions(10, seed=3))
+        assert len(a) == 10
         for da, db in zip(a, b):
             assert np.array_equal(da.components, db.components)
             assert abs(np.linalg.norm(da.components) - 1.0) < 1e-12
+
+
+def _sweep_peak(trials):
+    def make_vector(d):
+        return SpaceVector(dim_n=2, coords=d.components, scale=1.0, source="direction")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        deviations = isomorphism_sweep(make_vector, trials, seed=5)
+        return tracemalloc.get_traced_memory()[1], deviations
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_keeps_no_direction():
+    # 48 B of Gaussian draws and 8 B of deviation per trial; keeping every
+    # Direction3 would cost about 0.5 KB per trial
+    small, _ = _sweep_peak(10_000)
+    large, deviations = _sweep_peak(20_000)
+    assert len(deviations) == 20_000 and np.max(deviations) < 1e-15
+    assert (large - small) / 10_000 < 100
 
 
 def direction_map(components, scale, g):

@@ -384,7 +384,7 @@ class TestLuedersPostState:
         m, g = spin_simplex(1.0)
         rng = np.random.default_rng(97)
         psi = random_density(3, rng)
-        post = lueders_post_state(psi, [1], m.projectors)
+        post = lueders_post_state(psi, m.kets[[1]])
         assert np.max(np.abs(post.matrix - m.projectors[1])) < 1e-12
 
     def test_pure_state_stays_pure(self):
@@ -393,13 +393,13 @@ class TestLuedersPostState:
         obs = spin_along(build_spin_system(1.5), Direction3.from_angles(0.6, 2.0))
         m = simplex_from_observable(obs, g)
         psi = random_ket(4, rng).projector()
-        post = lueders_post_state(psi, [1, 2], m.projectors)
+        post = lueders_post_state(psi, m.kets[[1, 2]])
         assert abs(np.trace(post.matrix @ post.matrix).real - 1.0) < 1e-10
 
     def test_maximally_mixed_input(self):
         m, _ = spin_simplex(1.5)
         psi = DensityState(np.eye(4) / 4)
-        post = lueders_post_state(psi, [0, 2], m.projectors)
+        post = lueders_post_state(psi, m.kets[[0, 2]])
         expected = (m.projectors[0] + m.projectors[2]) / 2
         assert np.max(np.abs(post.matrix - expected)) < 1e-12
 
@@ -407,7 +407,7 @@ class TestLuedersPostState:
         m, _ = spin_simplex(1.0)
         psi = DensityState(m.projectors[0])
         with pytest.raises(ValueError, match="probability"):
-            lueders_post_state(psi, [2], m.projectors)
+            lueders_post_state(psi, m.kets[[2]])
 
 
 class TestRunMeasurement:
@@ -475,14 +475,6 @@ class TestRunMeasurement:
             pg = m.projectors[1] + m.projectors[2]
             expected = pg @ psi.matrix @ pg / np.trace(pg @ psi.matrix).real
             assert np.max(np.abs(degenerate[0].post_state.matrix - expected)) < 1e-10
-
-    def test_trajectory_attached(self):
-        m, g = spin_simplex(0.5)
-        psi = pure_state_from_direction(0.8, 0.0)
-        stats = run_measurement(psi, m, samples=10, seed=41, generators=g,
-                                trajectory_steps=12)
-        assert len(stats.trajectory) == 12
-        assert stats.trajectory[0][0] == 0.0 and stats.trajectory[-1][0] == 1.0
 
     def test_rejects_zero_samples(self):
         obs = spin_along(build_spin_system(0.5), X3)
@@ -557,15 +549,18 @@ def test_counts_do_not_depend_on_the_chunk_size(n, monkeypatch):
     m = simplex_from_observable(random_observable_frame(n, rng), g)
     psi = random_density(n, rng)
     runs = []
-    for chunk in (1, 7, 8192):
+    # one-draw windows over a few hundred draws only: 16,387 of them at N=64
+    # took seconds, each paying the winner loop's N-1 steps
+    for chunk, samples in ((8192, 2 * 8192 + 3), (7, 2 * 8192 + 3), (1, 301)):
         monkeypatch.setattr(measurement, "_CHUNK_SAMPLES", chunk)
-        runs.append(run_measurement(psi, m, 2 * 8192 + 3, 61, generators=g))
+        runs.append(run_measurement(psi, m, samples, 61, generators=g))
+    assert np.array_equal(runs[1].counts, runs[0].counts)
     for stats in runs[1:]:
-        assert np.array_equal(stats.counts, runs[0].counts)
-        for rec, first in zip(stats.records_sample, runs[0].records_sample):
+        for rec, first in zip(stats.records_sample, runs[0].records_sample, strict=True):
             assert np.array_equal(rec.lambda_, first.lambda_)
             assert rec.outcome_index == first.outcome_index
-    assert np.array_equal(runs[0].counts, stream_counts(runs[0], 61))
+    for stats in (runs[0], runs[2]):
+        assert np.array_equal(stats.counts, stream_counts(stats, 61))
 
 
 def test_records_do_not_keep_the_sample_array():

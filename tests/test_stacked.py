@@ -28,10 +28,11 @@ from conftest import fix_phase, ket_state, random_hermitian
 DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 
 # tracemalloc peaks of one call at N=64 along X3: from kets, about 3.0 MB per direction
-# vector (one block of projectors at a time) and 8.6 MB per simplex (which keeps its N
-# projectors), against 7.1 and 12.7 MB when each eigenstate was a DensityState projector
+# vector and 3.1 MB per simplex (one block of projectors at a time; 8.6 MB while the
+# simplex kept its N projectors), against 7.1 and 12.7 MB when each eigenstate was a
+# DensityState projector
 N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_000,
-                  "simplex": 10_000_000}
+                  "simplex": 4_000_000}
 
 
 def _frame(n, rng, degenerate):

@@ -227,6 +227,22 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
+def _write_file(path: Path, send, what: str) -> None:
+    """Open ``path`` for writing and hand it to ``send``; a file that fails
+    part way is removed, and one that cannot be written is a usage error."""
+    try:
+        with path.open("w") as fp:
+            try:
+                send(fp)
+            except BaseException:
+                fp.close()
+                if path.is_file():
+                    path.unlink()
+                raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {what}: {exc}")
+
+
 def emit_report(report: dict, args: argparse.Namespace) -> None:
     """Write the report as deterministic JSON to the configured path or
     stdout; the generated_at timestamp is the only run-varying field.
@@ -250,19 +266,8 @@ def emit_report(report: dict, args: argparse.Namespace) -> None:
 
     if args.output is None:
         send(sys.stdout)
-        return
-    path = Path(args.output)
-    try:
-        with path.open("w") as fp:
-            try:
-                send(fp)
-            except BaseException:
-                fp.close()
-                if path.is_file():
-                    path.unlink()
-                raise
-    except OSError as exc:
-        raise UsageError(f"cannot write output file {args.output}: {exc}")
+    else:
+        _write_file(Path(args.output), send, f"output file {args.output}")
 
 
 def _load_state_json(path: str) -> dict:
@@ -379,16 +384,17 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     trajectory_csv = None
     if args.trajectory_steps is not None:
         path = _trajectory_csv_path(args.output)
-        width = sys_.dim * sys_.dim - 1
-        lines = ["tau," + ",".join(f"coord_{i}" for i in range(width))]
-        for tau, point in approach_trajectory(state_to_bloch(psi, g), stats.simplex,
-                                              args.trajectory_steps):
-            lines.append(format(tau, ".17g") + ","
-                         + ",".join(format(x, ".17g") for x in point.coords))
-        try:
-            path.write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write trajectory CSV {path}: {exc}")
+        points = approach_trajectory(state_to_bloch(psi, g), stats.simplex,
+                                     args.trajectory_steps)
+
+        def send(fp):
+            # one row at a time, so the CSV is never held whole
+            fp.write("tau," + ",".join(f"coord_{i}" for i in range(sys_.dim ** 2 - 1)) + "\n")
+            for tau, point in points:
+                row = (tau, *point.coords.tolist())
+                fp.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+        _write_file(path, send, f"trajectory CSV {path}")
         trajectory_csv = str(path)
 
     emit_report({

@@ -25,7 +25,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -52,7 +52,7 @@ _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter st
 # slower at N=16.  Two workers on split windows of 1024 and 512 draws (N = 32
 # and 64) ran 0.76-1.0x as fast as one thread while using 1.6 cores, hence
 # _MIN_SPLIT_DRAWS; a call of fewer than _MIN_SPLIT_WINDOWS windows (the
-# CLI's 1,000-sample runs) is not worth waking a helper for.
+# CLI's 1,000-sample runs) is not worth starting a helper thread for.
 _CHUNK_SAMPLES = 8192
 _WINDOW_BYTES = 512 * 1024
 _MAX_WORKERS = 4
@@ -207,19 +207,19 @@ def born_probabilities(psi: DensityState, m: MeasurementSimplex, g: GeneratorSet
 
 
 def approach_trajectory(r: BlochVector, m: MeasurementSimplex,
-                        steps: int) -> list[tuple[float, BlochVector]]:
+                        steps: int) -> Iterator[tuple[float, BlochVector]]:
     """The deterministic first phase: the straight segment from ``r`` to
     its on-simplex projection, sampled at ``steps`` uniform parameter
     values in [0, 1].  For a two-level system this path scales the
-    off-diagonal elements of the operator by (1 - tau)."""
+    off-diagonal elements of the operator by (1 - tau).
+
+    ``steps`` is checked at the call; the points are built as they are
+    read, so only one is held at a time."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     parallel = project_onto_simplex(r, m).parallel.coords
-    points = []
-    for tau in np.linspace(0.0, 1.0, steps):
-        coords = (1.0 - tau) * r.coords + tau * parallel
-        points.append((float(tau), BlochVector(m.dim_n, coords)))
-    return points
+    return ((float(tau), BlochVector(m.dim_n, (1.0 - tau) * r.coords + tau * parallel))
+            for tau in np.linspace(0.0, 1.0, steps))
 
 
 def _blocks_per_sample(n: int) -> int:
@@ -295,106 +295,40 @@ def _window_wins(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.
     return np.bincount(winner, minlength=len(positive))
 
 
-class _Windows:
-    """The windows of one ``_count_vertex_wins`` call, counted by the calling
-    thread and any helpers it hands them to.
+def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
+                   positive: np.ndarray, w: np.ndarray, tallies: list) -> None:
+    """Claim, draw and tally windows of ``draws`` draws until none is left,
+    then append this worker's win counts over ``positive``, or the exception
+    that stopped it, to ``tallies``.
 
     A worker claims the next window index from ``claims`` (``next`` on an
-    ``itertools.count`` is atomic under the GIL), so each worker's indices
-    rise.  Its Philox stream starts at its first window's counter, as
-    ``barycentric_stream`` starts one, and skips the windows others claimed;
-    it tallies its windows and adds the tally when none is left.  ``done`` is
-    set once every window is counted, or a worker failed: the call waits only
-    for windows already claimed, never for a helper that has not started.
+    ``itertools.count`` is atomic under the GIL), so its indices rise.  Its
+    Philox stream starts at its first window's counter, as
+    ``barycentric_stream`` starts one, and skips the windows others claimed.
+    A worker appends its tally only once every window is claimed, so it
+    claims no more once ``tallies`` holds anything: then every window is
+    taken, or a worker failed and the call will raise.
     """
-
-    def __init__(self, seed: int, samples: int, draws: int, width: int,
-                 weights: np.ndarray):
-        self.seed, self.samples, self.draws, self.width = seed, samples, draws, width
-        self.positive = np.flatnonzero(weights > 0.0)
-        self.w = weights[self.positive][:, None]
-        self.total = -(-samples // draws)
-        self.claims = itertools.count()
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-        self.counted = 0
-        self.wins = np.zeros(len(self.positive), dtype=np.intp)
-        self.error: Optional[BaseException] = None
-
-    def count(self) -> None:
-        """Claim, draw and tally windows until none is left, then add this
-        worker's tally to the call's."""
-        index = next(self.claims)
-        if index >= self.total:
-            return  # a helper that came after the last window was claimed
-        blocks = self.draws * (self.width // _DOUBLES_PER_BLOCK)  # Philox blocks per window
-        bits = np.random.Philox(key=self.seed, counter=index * blocks)
+    total = -(-samples // draws)
+    blocks = draws * (width // _DOUBLES_PER_BLOCK)  # Philox blocks per window
+    wins = np.zeros(len(positive), dtype=np.intp)
+    try:
+        index = next(claims)
+        bits = np.random.Philox(key=seed, counter=index * blocks)
         stream = np.random.Generator(bits)
-        u = np.empty((self.draws, self.width))
-        wins = np.zeros_like(self.wins)
-        counted = 0
-        try:
-            while index < self.total:
-                window = u[:self.samples - index * self.draws]
-                stream.random(out=window)
-                wins += _window_wins(window, self.positive, self.w)
-                counted += 1
-                last, index = index, next(self.claims)
-                if last + 1 < index < self.total:
-                    bits.advance((index - last - 1) * blocks)
-        except BaseException as exc:
-            self.error = exc
-            raise
-        finally:
-            with self.lock:
-                self.wins += wins
-                self.counted += counted
-                if self.counted == self.total or self.error is not None:
-                    self.done.set()
-
-
-class _Helpers:
-    """Daemon threads that count handed-out windows, started on first use and
-    kept for the life of the process."""
-
-    def __init__(self):
-        self.wake = threading.Condition()
-        self.handed: list[_Windows] = []
-        self.started = 0
-
-    def hand_out(self, windows: _Windows, helpers: int) -> None:
-        """Wake ``helpers`` threads on ``windows``.  Hand-outs no helper took
-        yet are dropped: their calls count their windows themselves."""
-        with self.wake:
-            for _ in range(self.started, helpers):
-                threading.Thread(target=self._serve, name="blochx-sampler",
-                                 daemon=True).start()
-            self.started = max(self.started, helpers)
-            self.handed = [windows] * helpers
-            self.wake.notify(helpers)
-
-    def _serve(self) -> None:
-        while True:
-            with self.wake:
-                while not self.handed:
-                    self.wake.wait()
-                windows = self.handed.pop()
-            try:
-                windows.count()
-            except Exception:
-                pass  # count() handed it to the waiting call
-
-
-_HELPERS = _Helpers()
-
-
-def _forget_helpers() -> None:
-    global _HELPERS
-    _HELPERS = _Helpers()  # a forked child has none of its parent's threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
+        u = np.empty((draws, width))
+        while index < total:
+            window = u[:samples - index * draws]
+            stream.random(out=window)
+            wins += _window_wins(window, positive, w)
+            if tallies:  # a worker failed, or every window is claimed
+                break
+            last, index = index, next(claims)
+            if last + 1 < index < total:
+                bits.advance((index - last - 1) * blocks)
+        tallies.append(wins)
+    except BaseException as exc:
+        tallies.append(exc)
 
 
 def _count_vertex_wins(n: int, seed: int, samples: int,
@@ -405,12 +339,16 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     workers together, ``_WINDOW_BYTES`` of uniforms, so memory grows neither
     with ``samples`` nor with ``n``.
 
-    The calling thread and ``_HELPERS`` count the windows: up to
-    ``_MAX_WORKERS`` workers, no more than the allowed cores, and no more
-    than leave each window ``_MIN_SPLIT_DRAWS`` draws, so N >= 32 stays on
-    the calling thread.  So does a call of fewer draws than
-    ``_MIN_SPLIT_WINDOWS`` split windows hold.  The counts are integer sums,
-    the same whichever worker draws which window.
+    Up to ``_MAX_WORKERS`` workers count the windows, no more than the
+    allowed cores, and no more than leave each window ``_MIN_SPLIT_DRAWS``
+    draws, so N >= 32 stays on the calling thread.  So does a call of fewer
+    draws than ``_MIN_SPLIT_WINDOWS`` split windows hold.  The calling
+    thread counts windows itself and starts one helper thread for each other
+    worker; it joins them all before it returns, so no thread outlives the
+    call, and the join waits only for windows already claimed.  If a worker
+    fails, the others stop after the window each is counting, and the call
+    raises the first failure once they are joined.  The counts are integer
+    sums, the same whichever worker draws which window.
     """
     width = _blocks_per_sample(n) * _DOUBLES_PER_BLOCK
     workers = min(_allowed_cores(), _MAX_WORKERS,
@@ -418,15 +356,22 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     draws = min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width * workers))
     if samples < _MIN_SPLIT_WINDOWS * draws:
         workers, draws = 1, min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width))
-    windows = _Windows(seed, samples, min(draws, samples), width, weights)
-    if workers > 1:
-        _HELPERS.hand_out(windows, workers - 1)
-    windows.count()
-    windows.done.wait()
-    if windows.error is not None:
-        raise windows.error
+    positive = np.flatnonzero(weights > 0.0)
+    tallies: list = []
+    work = (itertools.count(), seed, samples, min(draws, samples), width, positive,
+            weights[positive][:, None], tallies)
+    helpers = [threading.Thread(target=_count_windows, args=work, name="blochx-sampler",
+                                daemon=True) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    _count_windows(*work)
+    for helper in helpers:
+        helper.join()
+    for tally in tallies:
+        if isinstance(tally, BaseException):
+            raise tally
     counts = np.zeros(n, dtype=np.intp)
-    counts[windows.positive] = windows.wins
+    counts[positive] = sum(tallies)
     return counts
 
 
@@ -489,11 +434,11 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     Outcomes are counted in windows of the stream of at most 8192 draws, and
     no disintegration point is kept.  Up to four workers, no more than the
     process's allowed cores, count the windows: the calling thread and helper
-    threads started on first use, each claiming one window at a time.  All
-    windows held at once share 512 KiB of uniforms, so memory grows neither
-    with ``samples`` nor with N (traced peak 1.0-1.3 MB at N = 2...64 with
-    two workers).  Runs of fewer than four windows, and N >= 32, stay on the
-    calling thread.  The counts depend neither on the window size nor on
+    threads started for this call and joined before it returns, each claiming
+    one window at a time.  All windows held at once share 512 KiB of
+    uniforms, so memory grows neither with ``samples`` nor with N (traced
+    peak 1.0-1.3 MB at N = 2...64 with two workers).  Runs of fewer than four
+    windows, and N >= 32, stay on the calling thread.  The counts depend neither on the window size nor on
     which worker counted which window.  Only the recorded samples are drawn
     again, by :func:`sample_collapse`'s path in one call, so each record's
     ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.

@@ -236,7 +236,7 @@ def test_criterion_10_decoherence_path():
     half = theta / 2
     off = np.sin(half) * np.cos(half) * np.exp(-1j * phi)
     worst = 0.0
-    path = approach_trajectory(r, m, 50)
+    path = list(approach_trajectory(r, m, 50))
     for tau, point in path:
         op = bloch_to_operator(point, g)
         expected = np.array([[np.cos(half) ** 2, (1 - tau) * off],

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import blochx
 from blochx import cli, serialize, spin
-from blochx.bloch import pure_state_from_direction
+from blochx.bloch import pure_state_from_direction, random_density
 from blochx.cli import main, parse_args
 from blochx.linalg import ValidationError
 from blochx.generators import GeneratorSet
@@ -291,6 +291,37 @@ class TestMeasure:
         assert lines[0] == "tau,coord_0,coord_1,coord_2"
         assert len(lines) == 6
         assert json.loads(out.read_text())["trajectory_csv"] == str(csv_path)
+
+    def test_trajectory_csv_is_written_row_by_row(self, tmp_path):
+        psi = tmp_path / "psi32.json"
+        write_state(psi, random_density(32, np.random.default_rng(32)).matrix)
+        out = tmp_path / "rep.json"
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--s", "15.5", "--direction=0,0,1", "--state", str(psi),
+                         "--samples", "1000", "--trajectory-steps", "250",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # this 5.8 MB CSV built whole peaked at 18.0 MB (70.5 MB at 1,000 steps);
+        # row by row it peaks at 1.2 MB, as without --trajectory-steps
+        assert peak < 4_000_000
+        lines = (tmp_path / "rep.trajectory.csv").read_text().splitlines()
+        assert len(lines) == 251 and lines[-1].count(",") == 32 * 32 - 1
+
+    def test_trajectory_csv_that_fails_part_way_is_removed(self, tmp_path, psi_file,
+                                                          monkeypatch, capsys):
+        def fail_after_one_row(r, m, steps):
+            yield 0.0, r
+            raise ValueError("trajectory point")
+
+        monkeypatch.setattr(cli, "approach_trajectory", fail_after_one_row)
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--s", "0.5", "--direction=0,0,1", "--state", str(psi_file),
+                     "--samples", "100", "--trajectory-steps", "5", "--out", str(out)]) == 1
+        assert "trajectory point" in capsys.readouterr().err
+        assert not (tmp_path / "rep.trajectory.csv").exists() and not out.exists()
 
     def test_env_seed_fallback_matches_flag(self, tmp_path, psi_file):
         out_a = tmp_path / "a.json"

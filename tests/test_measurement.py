@@ -249,7 +249,7 @@ class TestApproachTrajectory:
         rng = np.random.default_rng(79)
         r = state_to_bloch(random_density(3, rng), g)
         on = project_onto_simplex(r, m)
-        path = approach_trajectory(r, m, 7)
+        path = list(approach_trajectory(r, m, 7))
         assert path[0][0] == 0.0 and np.array_equal(path[0][1].coords, r.coords)
         assert path[-1][0] == 1.0
         assert np.max(np.abs(path[-1][1].coords - on.parallel.coords)) < 1e-12
@@ -636,33 +636,46 @@ def test_counts_do_not_depend_on_the_worker_count(case, chunk, samples, monkeypa
 def test_a_worker_reads_its_claimed_windows_at_their_counters():
     n, samples, draws = 5, 1003, 100
     weights = np.random.default_rng(89).dirichlet(np.ones(n))
-    windows = measurement._Windows(89, samples, draws, 8, weights)
+    positive = np.flatnonzero(weights > 0.0)
     # two workers whose claims interleave; the last claim of each is past the end
-    for claims in ([1, 4, 5, 9, 10, 11], [0, 2, 3, 6, 7, 8, 12]):
-        windows.claims = iter(claims)
-        windows.count()
-    assert windows.done.is_set() and windows.counted == windows.total == 11
+    tallies = [[], []]
+    for claims, tally in zip(([1, 4, 5, 9, 10, 11], [0, 2, 3, 6, 7, 8, 12]), tallies):
+        measurement._count_windows(iter(claims), 89, samples, draws, 8, positive,
+                                   weights[positive][:, None], tally)
+    assert all(len(tally) == 1 for tally in tallies)
     lam = barycentric_stream(n, 89, 0, samples)
     expected = np.bincount(measurement._winning_vertices(lam, weights), minlength=n)
-    assert np.array_equal(windows.wins, expected[windows.positive])
+    assert np.array_equal(tallies[0][0] + tallies[1][0], expected[positive])
+
+
+def count_helpers(monkeypatch):
+    """Patch the sampler's Thread so that each thread started on the window
+    counter is recorded; other threads start as usual."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            if self._target is measurement._count_windows:
+                started.append(self)
+            super().start()
+
+    monkeypatch.setattr(measurement.threading, "Thread", Recorded)
+    return started
 
 
 @pytest.mark.parametrize("s,samples,split", ((0.5, 1_000, False), (0.5, 40_000, True),
                                              (7.5, 40_000, True), (15.5, 100_000, False)))
 def test_helpers_start_only_for_a_split_worth_making(s, samples, split, monkeypatch):
     # below four windows, or under 2048 draws a split window (N >= 32), one thread counts
-    helpers = measurement._Helpers()
-    monkeypatch.setattr(measurement, "_HELPERS", helpers)
+    started = count_helpers(monkeypatch)
     monkeypatch.setattr(measurement, "_allowed_cores", lambda: 4)
     m, g = spin_simplex(s)
     run_measurement(random_density(m.dim_n, np.random.default_rng(97)), m, samples, 97,
                     generators=g)
-    assert (helpers.started > 0) == split
+    assert (len(started) > 0) == split
 
 
 def test_a_failing_helper_fails_the_call(monkeypatch):
-    helpers = measurement._Helpers()
-    monkeypatch.setattr(measurement, "_HELPERS", helpers)
     monkeypatch.setattr(measurement, "_allowed_cores", lambda: 2)
     calls = []
     real = measurement._window_wins
@@ -680,6 +693,8 @@ def test_a_failing_helper_fails_the_call(monkeypatch):
     try:
         stats = run_measurement(psi, m, 200_000, 101, generators=g)
     except MemoryError:
+        # the calling thread claimed no window after the helper failed, of 25
+        assert sum(t is threading.main_thread() for t in calls) < 12
         return
     # the helper got no window before the calling thread had counted them all
     assert all(t is threading.main_thread() for t in calls)
@@ -689,7 +704,7 @@ def test_a_failing_helper_fails_the_call(monkeypatch):
 def test_more_workers_than_cores_lose_no_window(monkeypatch):
     # four workers on tiny windows, with a thread switch as often as the
     # interpreter allows: a lost tally or a window counted twice changes the counts
-    monkeypatch.setattr(measurement, "_HELPERS", measurement._Helpers())
+    started = count_helpers(monkeypatch)
     monkeypatch.setattr(measurement, "_allowed_cores", lambda: 4)
     monkeypatch.setattr(measurement, "_CHUNK_SAMPLES", 7)
     m, g = spin_simplex(1.5)
@@ -705,26 +720,52 @@ def test_more_workers_than_cores_lose_no_window(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive() and len(results) == 5
-    assert measurement._HELPERS.started == 3
+    assert len(started) == 3 * 5  # three helpers for each call
     for seed, stats in enumerate(results):
         assert np.array_equal(stats.counts, stream_counts(stats, seed))
 
 
+@pytest.mark.parametrize("cores", (2, 4))
+def test_no_sampler_thread_outlives_its_call(cores):
+    # in a fresh process, so that no thread an earlier test left can hide one
+    code = f"""if True:
+        import threading, numpy as np
+        from blochx import bloch, measurement
+        from blochx.generators import build_generators
+        from blochx.spin import X3, build_spin_system, spin_along
+        measurement._allowed_cores = lambda: {cores}
+        started = []
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        measurement.threading.Thread = Recorded
+        g = build_generators(2)
+        psi = bloch.random_density(2, np.random.default_rng(109))
+        before = threading.active_count()
+        measurement.run_measurement(psi, spin_along(build_spin_system(0.5), X3), 200_000,
+                                    109, generators=g)
+        print(len(started), before, threading.active_count())
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_ROOT)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    helpers, before, after = map(int, result.stdout.split())
+    assert helpers == cores - 1 and after == before
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_counts_without_its_parents_helpers(monkeypatch):
-    monkeypatch.setattr(measurement, "_HELPERS", measurement._Helpers())
     monkeypatch.setattr(measurement, "_allowed_cores", lambda: 2)
     m, g = spin_simplex(0.5)
     psi = random_density(2, np.random.default_rng(103))
     parent = run_measurement(psi, m, 40_000, 103, generators=g).counts
-    assert measurement._HELPERS.started == 1
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
-            fresh = measurement._HELPERS.started == 0
             counts = run_measurement(psi, m, 40_000, 103, generators=g).counts
-            os.write(write, b"ok" if fresh and np.array_equal(counts, parent) else b"no")
+            os.write(write, b"ok" if np.array_equal(counts, parent) else b"no")
         finally:
             os._exit(0)
     os.close(write)

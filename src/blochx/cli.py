@@ -49,7 +49,7 @@ SPACING_TOLERANCE = 1e-10
 AGREEMENT_TOLERANCE = 1e-10
 MAX_DIM = 64
 MAX_TRIALS = 1_000_000  # verify keeps about 56 B per trial, so this bounds its run time
-MAX_TRAJECTORY_STEPS = 1_000  # each step holds a coordinate vector, 32 KB at N=64
+MAX_TRAJECTORY_STEPS = 1_000  # a row holds N^2 numbers: about 95 MB of CSV at N=64
 
 
 class UsageError(Exception):

@@ -305,9 +305,6 @@ def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
     ``itertools.count`` is atomic under the GIL), so its indices rise.  Its
     Philox stream starts at its first window's counter, as
     ``barycentric_stream`` starts one, and skips the windows others claimed.
-    A worker appends its tally only once every window is claimed, so it
-    claims no more once ``tallies`` holds anything: then every window is
-    taken, or a worker failed and the call will raise.
     """
     total = -(-samples // draws)
     blocks = draws * (width // _DOUBLES_PER_BLOCK)  # Philox blocks per window
@@ -321,7 +318,7 @@ def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
             window = u[:samples - index * draws]
             stream.random(out=window)
             wins += _window_wins(window, positive, w)
-            if tallies:  # a worker failed, or every window is claimed
+            if tallies:  # a worker failed, or one claimed past the end: all are taken
                 break
             last, index = index, next(claims)
             if last + 1 < index < total:

@@ -40,7 +40,8 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self._psd(as_square_matrix(self.matrix)).matrix
+        with np.errstate(over="ignore"):  # sums past the float range fail the checks as inf
+            m = self._psd(as_square_matrix(self.matrix)).matrix
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest < -POSITIVITY_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
@@ -77,8 +78,10 @@ class BlochVector:
         expected = self.dim_n * self.dim_n - 1
         if c.shape != (expected,):
             raise ValueError(f"expected {expected} coordinates for N={self.dim_n}, got shape {c.shape}")
-        if not np.linalg.norm(c) <= 1.0 + NORM_ATOL:
-            raise ValueError(f"coordinate norm {np.linalg.norm(c):.15g} exceeds 1")
+        with np.errstate(over="ignore"):  # a norm past the float range fails as inf
+            norm = np.linalg.norm(c)
+        if not norm <= 1.0 + NORM_ATOL:
+            raise ValueError(f"coordinate norm {norm:.15g} exceeds 1")
         object.__setattr__(self, "coords", c)
 
     @property

@@ -90,7 +90,7 @@ def _parse_direction_flag(text: str) -> Direction3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated reals, got {text!r}")
     if not np.all(np.isfinite(vec)):
         raise argparse.ArgumentTypeError(f"components must be finite, got {text!r}")
-    norm = float(np.linalg.norm(vec))
+    norm = math.hypot(*vec)  # no overflow where only the squares pass the float range
     if norm < 1e-12:
         raise argparse.ArgumentTypeError("direction must be nonzero")
     if abs(norm - 1.0) > 1e-6:
@@ -98,49 +98,23 @@ def _parse_direction_flag(text: str) -> Direction3:
     return Direction3.normalized(vec)
 
 
-def _parse_seed_flag(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed: {text!r}")
-    if not 0 <= seed < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return seed
+def _int_flag(noun: str, low: int, high: float):
+    """An argparse type for an integer flag from ``low`` to ``high``; every
+    refusal names ``noun``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {noun}: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need at least {low} {noun}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{value} {noun} is above the limit of {high}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _trials_flag(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"{value} trials is above the limit of {MAX_TRIALS}")
-    return value
-
-
-def _dimension_flag(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {value}")
-    if value > MAX_DIM:
-        raise argparse.ArgumentTypeError(f"dimension {value} is above the limit of {MAX_DIM}")
-    return value
-
-
-def _steps_flag(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 steps, got {value}")
-    if value > MAX_TRAJECTORY_STEPS:
-        raise argparse.ArgumentTypeError(f"{value} steps is above the limit of {MAX_TRAJECTORY_STEPS}")
-    return value
+_seed_flag = _int_flag("seed", 0, 2 ** 64 - 1)
 
 
 def build_parser() -> _Parser:
@@ -148,7 +122,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generators", help="emit the ordered generator basis for N")
-    p.add_argument("--n", type=_dimension_flag, required=True,
+    p.add_argument("--n", type=_int_flag("levels", 2, MAX_DIM), required=True,
                    help=f"Hilbert space dimension (2 to {MAX_DIM})")
     p.add_argument("--json", dest="output", default=None, help="output path (default stdout)")
 
@@ -169,11 +143,11 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_parse_spin_flag, required=True)
     p.add_argument("--direction", type=_parse_direction_flag, required=True)
     p.add_argument("--state", required=True, help="pre-measurement state file (matrix JSON)")
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_parse_seed_flag, default=None)
-    p.add_argument("--trajectory-steps", type=_steps_flag, default=None,
-                   help=f"also write the approach path as CSV, 2 to {MAX_TRAJECTORY_STEPS:,} "
-                   "points (needs --out)")
+    p.add_argument("--samples", type=_int_flag("samples", 1, math.inf), required=True)
+    p.add_argument("--seed", type=_seed_flag, default=None)
+    p.add_argument("--trajectory-steps", type=_int_flag("steps", 2, MAX_TRAJECTORY_STEPS),
+                   default=None, help="also write the approach path as CSV, 2 to "
+                   f"{MAX_TRAJECTORY_STEPS:,} points (needs --out)")
     p.add_argument("--out", dest="output", default=None)
 
     p = sub.add_parser("compose", help="emit a two-spin eigenbasis")
@@ -189,9 +163,9 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_parse_spin_flag, default=None)
     p.add_argument("--s1", type=_parse_spin_flag, default=None)
     p.add_argument("--s2", type=_parse_spin_flag, default=None)
-    p.add_argument("--trials", type=_trials_flag, default=100,
+    p.add_argument("--trials", type=_int_flag("trials", 1, MAX_TRIALS), default=100,
                    help=f"random direction pairs (1 to {MAX_TRIALS:,}; default 100)")
-    p.add_argument("--seed", type=_parse_seed_flag, default=None)
+    p.add_argument("--seed", type=_seed_flag, default=None)
     p.add_argument("--tolerance", type=float, default=DEFAULT_ISO_TOLERANCE,
                    help="override the isomorphism deviation tolerance")
     p.add_argument("--out", dest="output", default=None)
@@ -209,7 +183,7 @@ def parse_args(argv) -> argparse.Namespace:
     if args.command in ("measure", "verify") and args.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         try:
-            args.seed = 0 if env is None else _parse_seed_flag(env)
+            args.seed = 0 if env is None else _seed_flag(env)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"{SEED_ENV_VAR}: {exc}")
     if args.command == "verify":

@@ -43,7 +43,11 @@ class Direction3:
     @classmethod
     def normalized(cls, components) -> "Direction3":
         v = np.asarray(components, dtype=float)
-        nrm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if nrm == np.inf and np.isfinite(v).all():  # only the squares pass the float range
+            v = v / np.abs(v).max()
+            nrm = np.linalg.norm(v)
         if not np.isfinite(nrm):
             raise ValueError(f"cannot normalize a non-finite direction {v}")
         if nrm < 1e-12:
@@ -67,7 +71,7 @@ X3 = Direction3(np.array([0.0, 0.0, 1.0]))
 def check_spin(s: float) -> float:
     """Validate a spin magnitude: 2s must be a positive integer."""
     two_s = 2.0 * s
-    if abs(two_s - round(two_s)) > 1e-9 or round(two_s) < 1:
+    if not np.isfinite(two_s) or abs(two_s - round(two_s)) > 1e-9 or round(two_s) < 1:
         raise ValueError(f"invalid spin {s}: 2s must be a positive integer")
     return round(two_s) / 2.0
 
@@ -76,7 +80,7 @@ def check_projection(s: float, mu: float) -> tuple[float, float]:
     """Validate that mu is one of the 2s+1 projections -s, -s+1, ..., s."""
     s = check_spin(s)
     two_mu = 2.0 * mu
-    if abs(two_mu - round(two_mu)) > 1e-9:
+    if not np.isfinite(two_mu) or abs(two_mu - round(two_mu)) > 1e-9:
         raise ValueError(f"projection {mu} is not on the half-integer grid")
     mu = round(two_mu) / 2.0
     if abs(mu) > s or (round(2 * s) - round(2 * mu)) % 2 != 0:

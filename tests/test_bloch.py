@@ -217,6 +217,17 @@ class TestVectorTypes:
         with pytest.raises(ValueError, match="exceeds"):
             BlochVector(2, np.array([1.0, 1.0, 0.0]))
 
+    def test_overflowing_checks_fail_with_their_own_text(self):
+        huge = np.array([[1e308, 1e308], [-1e308, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coordinate norm inf exceeds 1$"):
+                BlochVector(2, np.array([1e308, 1e308, 0.0]))
+            with pytest.raises(ValueError, match=r"^density matrix trace inf\+0j is not 1$"):
+                DensityState(np.diag([1e308, 1e308]))
+            with pytest.raises(ValueError, match="^density matrix is not Hermitian"):
+                DensityState(huge)
+
     def test_pure_state_norm_check(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]))

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -646,6 +647,122 @@ class TestSizeLimits:
         result = run_cli(argv, tmp_path, timeout=30)
         assert result.returncode == 1
         assert "above the limit of 64" in result.stderr
+
+
+class _Accepted(Exception):
+    """Raised in place of a builder: every flag of the call was accepted."""
+
+
+def run_main_quietly(argv, env_seed=None):
+    """Run the CLI in-process with every builder refused and BLOCHX_SEED set to
+    ``env_seed`` (or unset); returns (exit code, stdout, stderr), with exit
+    code 0 once every flag was accepted.  A numpy warning fails the call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for name in ("build_generators", "build_spin_system", "build_composite"):
+            stack.enter_context(mock.patch.object(cli, name, side_effect=_Accepted))
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop("BLOCHX_SEED", None)
+        if env_seed is not None:
+            os.environ["BLOCHX_SEED"] = env_seed
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error")
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = main(argv)
+        except _Accepted:
+            code = 0
+    return code, out.getvalue(), err.getvalue()
+
+
+# each numeric flag in a call that is valid apart from it; "{}" is its text
+MEASURE = ["measure", "--s=0.5", "--direction=0,0,1", "--state", "psi.json"]
+NUMERIC_FLAGS = {
+    "--s": ["spin", "--s={}", "--direction=0,0,1"],
+    "--s1": ["compose", "--s1={}", "--s2=0.5", "--direction=0,0,1", "--basis", "coupled"],
+    "--s2": ["verify", "--prop", "2", "--s1=0.5", "--s2={}"],
+    "--direction": ["spin", "--s=0.5", "--direction={}"],
+    "--n": ["generators", "--n={}"],
+    "--samples": [*MEASURE, "--samples={}"],
+    "--trials": ["verify", "--prop", "1", "--s=0.5", "--trials={}"],
+    "--trajectory-steps": [*MEASURE, "--samples=10", "--trajectory-steps={}",
+                           "--out", "out.json"],
+    "--seed": ["verify", "--prop", "1", "--s=0.5", "--seed={}"],
+    "BLOCHX_SEED": ["verify", "--prop", "1", "--s=0.5"],
+}
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e200", "-1e200", "1e308",
+                     "1e-400", "0", "-0", "2", "64", "65", "1000001",
+                     str(2 ** 64 - 1), str(2 ** 64)]),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-400, 400)))
+
+
+def run_numeric_flag(flag, texts):
+    text = ",".join(texts) if flag == "--direction" else texts[0]
+    argv = [a.format(text) for a in NUMERIC_FLAGS[flag]]
+    return run_main_quietly(argv, text if flag == "BLOCHX_SEED" else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flag=st.sampled_from(sorted(NUMERIC_FLAGS)),
+       texts=st.lists(NUMBER_TEXT, min_size=3, max_size=3))
+@example(flag="--s", texts=["inf"] * 3)
+@example(flag="--s1", texts=["1e400"] * 3)
+@example(flag="--direction", texts=["1e200"] * 3)
+def test_numeric_flags_end_in_one_error_line(flag, texts):
+    code, out, err = run_numeric_flag(flag, texts)
+    assert code in (0, 1) and out == ""
+    lines = err.splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
+    assert sum(line.startswith("error: ") for line in lines) == code, err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("flag, text", [
+        ("--s", "inf"), ("--s", "1e400"), ("--s", "-inf"), ("--s", "nan"),
+        ("--s1", "inf"), ("--s2", "1e400"),
+    ])
+    def test_non_finite_spin_is_a_usage_error(self, flag, text):
+        code, _, err = run_numeric_flag(flag, [text])
+        assert code == 1
+        assert err == f"error: argument {flag}: invalid spin: {text!r}\n"
+
+    def test_large_finite_direction_is_normalized(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spin", "--s=0.5", "--direction=1e200,1e200,1e200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: normalizing direction 1e200,1e200,1e200 "
+                                "(norm 1.73205e+200)\n")
+        assert json.loads(captured.out)["direction"] == [1 / np.sqrt(3.0)] * 3
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": 2, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+         "density matrix trace inf+0j is not 1"),
+        ({"n": 2, "matrix": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
+         "density matrix is not Hermitian within 1e-12"),
+        ({"n": 2, "coords": [1e308, 1e308, 0]}, "coordinate norm inf exceeds 1"),
+    ], ids=["trace", "hermitian", "coords"])
+    def test_overflowing_state_file_is_one_error_line(self, obj, message):
+        code, out, err = run_main_on_state(obj, "bloch")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --state file ") and err.endswith(f": {message}\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["spin", "--s", "inf", "--direction", "0,0,1"], 1),
+        (["spin", "--s", "0.5", "--direction=1e200,1e200,1e200"], 0),
+    ])
+    def test_child_prints_one_line_with_runtime_warnings_as_errors(self, argv, code,
+                                                                   tmp_path):
+        result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                                 "blochx", *argv], capture_output=True, text=True,
+                                cwd=tmp_path, env=child_env())
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("warning: " if code == 0 else "error: ")
 
 
 # --state files a little off the valid ones: each mutation below makes the file

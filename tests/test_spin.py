@@ -1,12 +1,14 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochx.bloch import pure_state_from_direction
 from blochx.linalg import ValidationError
-from blochx.spin import (Direction3, X1, X3, build_spin_system,
-                         classical_resultant_range, cone_parameters,
+from blochx.spin import (Direction3, X1, X3, build_spin_system, check_projection,
+                         check_spin, classical_resultant_range, cone_parameters,
                          cone_projection_range, spin_along)
 from conftest import PAULI_1, PAULI_2, PAULI_3, ket_state
 
@@ -28,6 +30,26 @@ class TestDirection3:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="norm"):
             Direction3(np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("v", [[1e200, 1e200, 1e200], [-1e308, 1.7e308, 1e-300],
+                                   [0.0, 0.0, 1e155]])
+    def test_normalizes_vectors_whose_squares_overflow(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = Direction3.normalized(v)
+        big = np.max(np.abs(v))
+        expected = Direction3.normalized(np.asarray(v) / big).components
+        assert d.components.tobytes() == expected.tobytes()
+        if v[0] == v[1] == v[2]:
+            assert d.components.tobytes() == (np.ones(3) / np.sqrt(3.0)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3)
+           .filter(lambda v: np.linalg.norm(v) >= 1e-12))
+    def test_directions_up_to_1e150_keep_their_bits(self, v):
+        v = np.array(v)
+        expected = v / np.linalg.norm(v)
+        assert Direction3.normalized(v).components.tobytes() == expected.tobytes()
 
     def test_normalized(self):
         d = Direction3.normalized([3.0, 0.0, 4.0])
@@ -77,6 +99,18 @@ class TestBuildSpinSystem:
     def test_rejects_invalid_spin(self, bad):
         with pytest.raises(ValueError, match="invalid spin"):
             build_spin_system(bad)
+
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan, np.float64(np.nan), 1e308))
+    def test_rejects_non_finite_spin(self, bad):
+        # 2s of 1e308 is past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="invalid spin"):
+                check_spin(bad)
+            with pytest.raises(ValueError, match="invalid spin"):
+                check_projection(bad, 0.5)
+            with pytest.raises(ValueError, match="projection .* is not on the half-integer grid"):
+                check_projection(0.5, bad)
 
 
 class TestSpinAlong:

@@ -3,12 +3,14 @@
 Every subcommand writes one deterministic pretty-printed JSON report
 (stdout by default, or the file named by its output flag) carrying
 ``"blochx_schema": 1`` and a ``generated_at`` timestamp, the one field
-excluded from golden comparisons.  Exit codes: 0 success, 1 usage error,
-2 numerical validation failure.  ``generators --n``, the spin flags and
-composites refuse Hilbert space dimensions above 64 (the generators report
-holds N^4 entries, and the eigenstate simplex N (N^2 - 1) vertex floats) as
-usage errors before anything is built; ``bloch --state`` files set no such
-limit.  ``verify`` refuses more than 1,000,000 ``--trials``, and ``measure``
+excluded from golden comparisons.  Handlers build reports; ``main`` alone
+writes them and sets the exit code: 0 success, 1 usage error, 2 numerical
+validation failure or a failed ``verify`` check.  A run that ends in an
+error leaves no report or trajectory CSV.  ``generators --n``, the spin
+flags, composites and ``--state`` files refuse Hilbert space dimensions
+above 64 (the generators report holds N^4 entries, and the eigenstate
+simplex N (N^2 - 1) vertex floats) as usage errors before anything is
+built.  ``verify`` refuses more than 1,000,000 ``--trials``, and ``measure``
 more than 1,000 ``--trajectory-steps``, the same way.  A ``--state`` file
 holds a ``matrix`` of shape (N, N, 2) or an integer ``n`` with ``coords``,
 numbers only; anything else is a usage error.  The
@@ -258,29 +260,31 @@ def _load_state_json(path: str) -> dict:
     return obj
 
 
-def _load_density_state(path: str) -> DensityState:
-    obj = _load_state_json(path)
+def _density_state(obj: dict, path: str) -> DensityState:
+    """The state in the ``matrix`` of a parsed --state file, its dimension
+    refused above MAX_DIM before its eigenvalues are taken."""
     if "matrix" not in obj:
         raise UsageError(f"--state file {path} has no 'matrix' field")
     try:
-        return DensityState(serialize.matrix_from_json(obj["matrix"]))
+        m = serialize.matrix_from_json(obj["matrix"])
+        _refuse_above_limit(len(m), "state has", ValueError)
+        return DensityState(m)
     except ValueError as exc:
         raise UsageError(f"--state file {path}: {exc}")
 
 
-def _cmd_generators(args: argparse.Namespace) -> int:
+def _cmd_generators(args: argparse.Namespace) -> dict:
     g = build_generators(args.n)
-    emit_report({
+    return {
         "command": "generators",
         "n": args.n,
         "c": g.c,
         "count": len(g),
         "generators": g,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_bloch(args: argparse.Namespace) -> int:
+def _cmd_bloch(args: argparse.Namespace) -> dict:
     obj = _load_state_json(args.state)
     has_matrix = "matrix" in obj
     has_coords = "coords" in obj
@@ -292,44 +296,43 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
         raise UsageError(f"--state file {args.state} has neither 'matrix' nor 'coords'")
 
     if has_matrix and not args.to_matrix:
-        state = _load_density_state(args.state)
+        state = _density_state(obj, args.state)
         g = build_generators(state.dim)
         r = state_to_bloch(state, g)
-        emit_report({
+        return {
             "command": "bloch",
             "kind": "bloch_vector",
             "n": state.dim,
             "coords": list(r.coords),
             "norm": r.norm,
             "purity": purity(r),
-        }, args)
-        return 0
+        }
 
     n = obj.get("n")
     if type(n) is not int:  # bool is a subclass of int, and 2.7 would pass int()
         raise UsageError(f"--state file {args.state}: 'n' must be an integer, got {n!r}")
     try:
+        _refuse_above_limit(n, "state has", ValueError)
         r = BlochVector(n, serialize._floats(obj["coords"], "coords", 1))
     except ValueError as exc:
         raise UsageError(f"--state file {args.state}: {exc}")
     g = build_generators(n)
     operator = bloch_to_operator(r, g)
     ok, smallest = is_state(r, g)
-    emit_report({
+    return {
         "command": "bloch",
         "kind": "state",
         "n": n,
         "matrix": operator,
         "is_state": ok,
         "min_eigenvalue": smallest,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_spin(args: argparse.Namespace) -> int:
+def _cmd_spin(args: argparse.Namespace) -> dict:
     sys_ = build_spin_system(args.s)
     obs = spin_along(sys_, args.direction)
-    emit_report({
+    return {
         "command": "spin",
         "s": sys_.s,
         "n": sys_.dim,
@@ -337,8 +340,7 @@ def _cmd_spin(args: argparse.Namespace) -> int:
         "matrix": obs.matrix,
         "eigenvalues": list(obs.eigenvalues),
         "eigenstates": _projectors(obs.kets),
-    }, args)
-    return 0
+    }
 
 
 def _trajectory_csv_path(output_path: str) -> Path:
@@ -346,32 +348,16 @@ def _trajectory_csv_path(output_path: str) -> Path:
     return out.with_suffix(".trajectory.csv") if out.suffix else out.with_name(out.name + ".trajectory.csv")
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
+def _cmd_measure(args: argparse.Namespace) -> dict:
     sys_ = build_spin_system(args.s)
-    psi = _load_density_state(args.state)
+    psi = _density_state(_load_state_json(args.state), args.state)
     if psi.dim != sys_.dim:
         raise UsageError(f"--state dimension {psi.dim} does not match --s {sys_.s} (N={sys_.dim})")
     g = build_generators(sys_.dim)
     obs = spin_along(sys_, args.direction)
     stats = run_measurement(psi, obs, args.samples, args.seed, generators=g)
-
-    trajectory_csv = None
-    if args.trajectory_steps is not None:
-        path = _trajectory_csv_path(args.output)
-        points = approach_trajectory(state_to_bloch(psi, g), stats.simplex,
-                                     args.trajectory_steps)
-
-        def send(fp):
-            # one row at a time, so the CSV is never held whole
-            fp.write("tau," + ",".join(f"coord_{i}" for i in range(sys_.dim ** 2 - 1)) + "\n")
-            for tau, point in points:
-                row = (tau, *point.coords.tolist())
-                fp.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-        _write_file(path, send, f"trajectory CSV {path}")
-        trajectory_csv = str(path)
-
-    emit_report({
+    path = None if args.trajectory_steps is None else _trajectory_csv_path(args.output)
+    report = {
         "command": "measure",
         "s": sys_.s,
         "n": sys_.dim,
@@ -390,12 +376,25 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             "outcome_index": rec.outcome_index,
             "post_state": rec.post_state.matrix,
         } for rec in stats.records_sample],
-        "trajectory_csv": trajectory_csv,
-    }, args)
-    return 0
+        "trajectory_csv": None if path is None else str(path),
+    }
+    if path is not None:
+        # written last, so a report that main then fails to write names it for removal
+        points = approach_trajectory(state_to_bloch(psi, g), stats.simplex,
+                                     args.trajectory_steps)
+
+        def send(fp):
+            # one row at a time, so the CSV is never held whole
+            fp.write("tau," + ",".join(f"coord_{i}" for i in range(sys_.dim ** 2 - 1)) + "\n")
+            for tau, point in points:
+                row = (tau, *point.coords.tolist())
+                fp.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+        _write_file(path, send, f"trajectory CSV {path}")
+    return report
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace) -> dict:
     comp = build_composite(args.s1, args.s2)
     if args.basis == "coupled":
         b = coupled_basis(comp, args.direction)
@@ -405,7 +404,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         b = product_basis(comp, args.direction)
         entries = [{"mu1": float(mu1), "mu2": float(mu2), "amplitudes": ket}
                    for mu1, mu2, ket in zip(b.mu1, b.mu2, b.kets)]
-    emit_report({
+    return {
         "command": "compose",
         "s1": comp.s1,
         "s2": comp.s2,
@@ -415,11 +414,10 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         "direction": list(args.direction.components),
         "basis": args.basis,
         "entries": entries,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict:
     report: dict = {"command": "verify", "prop": args.prop, "trials": args.trials,
                     "seed": args.seed, "tolerance": args.tolerance}
     checks: dict = {}
@@ -470,10 +468,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report["max_deviation"] = max_dev
     report["mean_deviation"] = float(np.mean(deviations))
     report["checks"] = checks
-    passed = bool(max_dev < args.tolerance and extra_ok)
-    report["pass"] = passed
-    emit_report(report, args)
-    return 0 if passed else 2
+    report["pass"] = bool(max_dev < args.tolerance and extra_ok)
+    return report
 
 
 _HANDLERS = {
@@ -487,15 +483,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    report: dict = {}
     try:
         args = parse_args(argv if argv is not None else sys.argv[1:])
-        return _HANDLERS[args.command](args)
-    except UsageError as exc:
+        report = _HANDLERS[args.command](args)
+        emit_report(report, args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if report.get("trajectory_csv"):
+            Path(report["trajectory_csv"]).unlink(missing_ok=True)
+        return 2 if isinstance(exc, ValidationError) else 1
+    return 0 if report.get("pass", True) else 2

@@ -324,6 +324,15 @@ class TestMeasure:
         assert "trajectory point" in capsys.readouterr().err
         assert not (tmp_path / "rep.trajectory.csv").exists() and not out.exists()
 
+    def test_report_that_cannot_be_written_leaves_no_csv(self, tmp_path, psi_file, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main(["measure", "--s", "0.5", "--direction=0,0,1", "--state", str(psi_file),
+                     "--samples", "100", "--trajectory-steps", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
+        assert list(tmp_path.glob("*.trajectory.csv")) == []
+
     def test_env_seed_fallback_matches_flag(self, tmp_path, psi_file):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -558,7 +567,8 @@ class TestSizeLimits:
     def nothing_built(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("built before the size check")
-        for name in ("build_generators", "build_spin_system", "build_composite"):
+        for name in ("build_generators", "build_spin_system", "build_composite",
+                     "DensityState", "BlochVector"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv", [
@@ -574,6 +584,19 @@ class TestSizeLimits:
     def test_oversized_input_is_a_usage_error(self, argv, nothing_built, capsys):
         assert main(argv) == 1
         assert "above the limit of 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 65, "matrix": np.full((65, 65, 2), 0.0).tolist()},
+        {"n": 65, "coords": [0.0] * (65 * 65 - 1)},
+    ], ids=["matrix", "coords"])
+    def test_oversized_state_file_is_a_usage_error(self, obj, tmp_path, nothing_built,
+                                                   capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(obj))
+        assert main(["bloch", "--state", str(state)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: --state file {state}: state has dimension 65, "
+                                     "above the limit of 64\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_is_a_usage_error(self, value, nothing_built, capsys):
@@ -862,6 +885,99 @@ def test_valid_state_files_still_pass(obj):
     code, out, err = run_main_on_state(obj, "bloch")
     assert code == 0 and err == ""
     assert json.loads(out)["n"] == 2
+
+
+# whole calls: each subcommand with every flag valid apart from at most two,
+# each of those near-valid or left out; STATE and OUT stand for the drawn
+# --state file and output path
+DIRECTION = (["--direction=0.6,0,0.8"], ["--direction=0,0", "--direction=nan,0,1"])
+WHOLE_CALLS = {
+    "generators": {"n": (["--n=3"], ["--n=1", "--n=65"]), "out": (["--json=OUT"], [])},
+    "bloch": {"state": (["--state=STATE"], []),
+              "mode": (["", "--to-vector", "--to-matrix"], ["--to-vector --to-matrix"])},
+    "spin": {"s": (["--s=1"], ["--s=0.4", "--s=32"]), "direction": DIRECTION,
+             "out": (["--emit=OUT"], [])},
+    "measure": {"s": (["--s=0.5"], ["--s=1", "--s=32"]), "direction": DIRECTION,
+                "state": (["--state=STATE"], []), "samples": (["--samples=50"], ["--samples=0"]),
+                "seed": (["--seed=3"], ["--seed=-1"]),
+                "steps": (["", "--trajectory-steps=3"], ["--trajectory-steps=1"]),
+                "out": (["--out=OUT"], [])},
+    "compose": {"s1": (["--s1=0.5"], ["--s1=0.3", "--s1=8"]), "s2": (["--s2=1"], ["--s2=-1"]),
+                "direction": DIRECTION,
+                "basis": (["--basis=coupled", "--basis=product"], ["--basis=both"]),
+                "out": (["--out=OUT"], [])},
+    "verify": {"prop": (["--prop=1", "--prop=2", "--prop=2bis"], ["--prop=3"]),
+               "s": (["--s=0.5"], ["--s=40"]), "s1": (["--s1=0.5"], ["--s1=4"]),
+               "s2": (["--s2=1"], ["--s2=3.5"]),
+               "trials": (["--trials=2"], ["--trials=0", "--trials=1000001"]),
+               "seed": (["--seed=3"], ["--seed=x"]), "out": (["--out=OUT"], [])},
+}
+STATE_TEXTS = {
+    "matrix": json.dumps(VALID_MATRIX),
+    "coords": json.dumps(VALID_COORDS),
+    "65-level matrix": json.dumps({"n": 65, "matrix": matrix_to_json(np.eye(65) / 65)}),
+    "65-level coords": json.dumps({"n": 65, "coords": [0.0] * (65 * 65 - 1)}),
+    "malformed": '{"n": 2, "matrix": [[[0.5, 0]',
+    "missing": None,
+}
+# every output path but the first ends the run in an error
+OUTPUTS = ["report.json", "missing/report.json", "adir", "/dev/full"]
+
+
+@st.composite
+def whole_call(draw):
+    command = draw(st.sampled_from(sorted(WHOLE_CALLS)))
+    flags = WHOLE_CALLS[command]
+    broken = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for name, (valid, near) in flags.items():
+        argv += draw(st.sampled_from(near + [""] if name in broken else valid)).split()
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+# half the draws take the valid state file, and half the writable path
+@given(argv=whole_call(),
+       state=st.one_of(st.just("matrix"), st.sampled_from(sorted(STATE_TEXTS))),
+       output=st.one_of(st.just(OUTPUTS[0]), st.sampled_from(OUTPUTS)))
+# the two holes: an oversized bloch state, and a CSV left by a report that failed
+@example(argv=["bloch", "--state=STATE"], state="65-level matrix", output="adir")
+@example(argv=["bloch", "--state=STATE"], state="65-level coords", output="adir")
+@example(argv=["measure", "--s=0.5", "--direction=0,0,1", "--state=STATE", "--samples=10",
+               "--trajectory-steps=3", "--out=OUT"], state="matrix", output="adir")
+def test_whole_calls_end_in_a_report_or_one_error_line(argv, state, output):
+    """Exit 0, 1 or 2; an error exit prints one error line and leaves no
+    report, CSV or other file; a bad state file or output path never exits
+    0.  Any exception out of main, and so any traceback, fails the test."""
+    if output == "/dev/full":  # its trajectory CSV would go into /dev
+        argv = [a for a in argv if not a.startswith("--trajectory-steps")]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "adir").mkdir()
+        if STATE_TEXTS[state] is not None:
+            (tmp / "state.json").write_text(STATE_TEXTS[state])
+        before = sorted(tmp.rglob("*"))
+        out_path = output if output.startswith("/") else str(tmp / output)
+        call = [a.replace("=STATE", f"={tmp / 'state.json'}").replace("=OUT", f"={out_path}")
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), warnings.catch_warnings():
+            os.environ.pop("BLOCHX_SEED", None)
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(call)
+        left = sorted(tmp.rglob("*"))
+    out, err = out.getvalue(), err.getvalue()
+    lines = err.splitlines()
+    assert code in (0, 1, 2)
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
+    assert sum(line.startswith("error: ") for line in lines) == (code != 0), err
+    if code:
+        assert out == "" and left == before
+    if "--state=STATE" in argv and state not in ("matrix", "coords"):
+        assert code != 0
+    if any(a.endswith("=OUT") for a in argv) and output != "report.json":
+        assert code != 0
 
 
 def test_matrix_from_json_keeps_every_bit():

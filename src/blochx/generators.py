@@ -37,8 +37,8 @@ class GeneratorSet:
 
     ``c`` is sqrt(N(N-1)/2).  ``matrices``, the (N^2-1, N, N) stack, is
     built on first access and then kept: the coordinate maps work from the
-    entries of an operator and never need it, so only iterating, indexing
-    or reading ``matrices`` pays for it.
+    entries of an operator and never need it, so only reading ``matrices``,
+    whose rows are the members (the set is not a sequence), pays for it.
     """
 
     dim: int
@@ -62,12 +62,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return self.dim * self.dim - 1
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, i):
-        return self.matrices[i]
 
 
 def _stack(b: np.ndarray) -> np.ndarray:

@@ -169,8 +169,7 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
     groups = tuple(tuple(grp) for grp in degeneracy_groups(values))
     vertex_group = np.empty(n, dtype=int)
     for gi, grp in enumerate(groups):
-        for v in grp:
-            vertex_group[v] = gi
+        vertex_group[list(grp)] = gi
     return MeasurementSimplex(dim_n=n, vertices=vertices, eigenvalues=values,
                               kets=kets, degeneracy_groups=groups,
                               vertex_group=vertex_group)
@@ -222,24 +221,35 @@ def approach_trajectory(r: BlochVector, m: MeasurementSimplex,
             for tau in np.linspace(0.0, 1.0, steps))
 
 
-def _blocks_per_sample(n: int) -> int:
-    return -(-n // _DOUBLES_PER_BLOCK)
+def _width(n: int) -> int:
+    """Uniforms per draw: ``n`` rounded up to whole Philox blocks."""
+    return -(-n // _DOUBLES_PER_BLOCK) * _DOUBLES_PER_BLOCK
+
+
+def _stream(seed: int, start: int, width: int) -> np.random.Generator:
+    """The Philox stream keyed by ``seed`` from draw ``start`` on: draw i reads
+    blocks [i*B, (i+1)*B) with B = width/4 as its ``width`` uniforms, however
+    the draws are batched, windowed or shared between workers."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=start * width // _DOUBLES_PER_BLOCK))
+
+
+def _barycentric(u: np.ndarray, n: int) -> np.ndarray:
+    """The disintegration points of draws of uniforms ``u``, one row each:
+    the normalized standard exponentials -log1p(-u) of their first n columns."""
+    exponentials = -np.log1p(-u[:, :n])
+    return exponentials / exponentials.sum(axis=1, keepdims=True)
 
 
 def barycentric_stream(n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Uniform barycentric samples on the (n-1)-simplex.
 
     Normalized i.i.d. standard exponentials, i.e. a flat Dirichlet draw.
-    Sample ``index`` consumes a fixed window of the counter-based Philox
-    stream keyed by ``seed`` (blocks [index*B, (index+1)*B) with
-    B = ceil(n/4)), so the draw for a given (seed, index) pair is the same
-    no matter how sampling is batched or partitioned.
+    Sample ``index`` reads the fixed Philox blocks that ``_stream`` gives it,
+    so the draw for a given (seed, index) pair is the same no matter how
+    sampling is batched or partitioned.
     """
-    blocks = _blocks_per_sample(n)
-    bits = np.random.Philox(key=seed, counter=start * blocks)
-    u = np.random.Generator(bits).random((count, blocks * _DOUBLES_PER_BLOCK))[:, :n]
-    exponentials = -np.log1p(-u)
-    return exponentials / exponentials.sum(axis=1, keepdims=True)
+    width = _width(n)
+    return _barycentric(_stream(seed, start, width).random((count, width)), n)
 
 
 def _sanitize_weights(weights: np.ndarray) -> np.ndarray:
@@ -252,35 +262,22 @@ def _sanitize_weights(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _winning_vertices(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Vertex index per row of ``lam``: the minimizer of lambda_j / w_j
-    (with lambda_j / 0 = +inf).
-
-    A barycentric point lies in the sub-simplex spanned by the on-simplex
-    state and the vertices other than i exactly when i attains that
-    minimum, so this reproduces membership of the disintegration point in
-    outcome i's sub-region.  Boundary ties go to the lowest index.
-    """
-    lam = np.atleast_2d(lam)
-    ratios = np.full(lam.shape, np.inf)
-    positive = weights > 0.0
-    ratios[:, positive] = lam[:, positive] / weights[positive]
-    return ratios.argmin(axis=1)
-
-
 def _allowed_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _window_wins(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Win counts over ``positive`` of the draws in one window of uniforms.
+def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The winner of each row (draw) of uniforms in ``window``, as an index into
+    ``positive``, the vertices of nonzero weight ``w`` (a column): the one rule
+    that classifies draws, for the counts and the records alike.
 
-    Rows are not normalized, since rescaling a row leaves the minimizer of
-    lambda_j / w_j where it was.  With x_j = log1p(-u_j) = -e_j the
-    minimizer of e_j / w_j is the first maximizer of x_j / w_j; the strict
-    comparison keeps ties at the lowest index.
+    A draw's point lambda = e / sum(e), e_j = -log1p(-u_j), lies in the
+    sub-simplex spanned by the on-simplex state and the vertices other than
+    i exactly when i minimizes lambda_j / w_j (lambda_j / 0 = +inf).  Rows
+    are not normalized, as rescaling leaves the minimizer where it was: it is
+    the first maximizer of -e_j / w_j, so boundary ties go to the lowest index.
     """
     x = np.ascontiguousarray(window.T[positive])
     np.negative(x, out=x)
@@ -292,7 +289,7 @@ def _window_wins(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.
         # j exceeds every earlier winner, so no branch on the data
         np.maximum(winner, (x[j] > best) * j, out=winner)
         np.maximum(best, x[j], out=best)
-    return np.bincount(winner, minlength=len(positive))
+    return winner
 
 
 def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
@@ -303,26 +300,25 @@ def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
 
     A worker claims the next window index from ``claims`` (``next`` on an
     ``itertools.count`` is atomic under the GIL), so its indices rise.  Its
-    Philox stream starts at its first window's counter, as
-    ``barycentric_stream`` starts one, and skips the windows others claimed.
+    stream starts at its first window's first draw and skips the windows
+    others claimed.
     """
     total = -(-samples // draws)
     blocks = draws * (width // _DOUBLES_PER_BLOCK)  # Philox blocks per window
     wins = np.zeros(len(positive), dtype=np.intp)
     try:
         index = next(claims)
-        bits = np.random.Philox(key=seed, counter=index * blocks)
-        stream = np.random.Generator(bits)
+        stream = _stream(seed, index * draws, width)
         u = np.empty((draws, width))
         while index < total:
             window = u[:samples - index * draws]
             stream.random(out=window)
-            wins += _window_wins(window, positive, w)
+            wins += np.bincount(_window_winners(window, positive, w), minlength=len(positive))
             if tallies:  # a worker failed, or one claimed past the end: all are taken
                 break
             last, index = index, next(claims)
             if last + 1 < index < total:
-                bits.advance((index - last - 1) * blocks)
+                stream.bit_generator.advance((index - last - 1) * blocks)
         tallies.append(wins)
     except BaseException as exc:
         tallies.append(exc)
@@ -330,8 +326,8 @@ def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
 
 def _count_vertex_wins(n: int, seed: int, samples: int,
                       weights: np.ndarray) -> np.ndarray:
-    """Per-vertex win counts of samples ``[0, samples)``: the counts of
-    ``_winning_vertices(barycentric_stream(n, seed, 0, samples), weights)``,
+    """Per-vertex win counts of samples ``[0, samples)`` by ``_window_winners``,
+    which the tests check against the paper's rule (their ``winning_vertices``),
     read in windows of at most ``_CHUNK_SAMPLES`` draws and, over all
     workers together, ``_WINDOW_BYTES`` of uniforms, so memory grows neither
     with ``samples`` nor with ``n``.
@@ -347,7 +343,7 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
     raises the first failure once they are joined.  The counts are integer
     sums, the same whichever worker draws which window.
     """
-    width = _blocks_per_sample(n) * _DOUBLES_PER_BLOCK
+    width = _width(n)
     workers = min(_allowed_cores(), _MAX_WORKERS,
                   max(1, _WINDOW_BYTES // (8 * width * _MIN_SPLIT_DRAWS)))
     draws = min(_CHUNK_SAMPLES, _WINDOW_BYTES // (8 * width * workers))
@@ -397,19 +393,24 @@ def _post_state(m: MeasurementSimplex, group_index: int,
 
 def _records(weights: np.ndarray, m: MeasurementSimplex, seed: int, start: int,
              count: int, psi: Optional[DensityState]) -> list[MeasurementRecord]:
-    """The records of draws ``[start, start + count)``, read in one stream call,
-    with one post-state built per winning outcome group."""
-    lam = barycentric_stream(m.dim_n, seed, start, count)
-    groups = m.vertex_group[_winning_vertices(lam, weights)].tolist()
+    """The records of draws ``[start, start + count)`` from one read of their
+    uniforms: ``barycentric_stream``'s rows, the winners the counts tallied,
+    and one post-state built per winning outcome group."""
+    width, positive = _width(m.dim_n), np.flatnonzero(weights > 0.0)
+    u = _stream(seed, start, width).random((count, width))
+    winners = positive[_window_winners(u, positive, weights[positive][:, None])]
+    groups = m.vertex_group[winners].tolist()
     posts = {gi: _post_state(m, gi, psi) for gi in dict.fromkeys(groups)}
     return [MeasurementRecord(lambda_=row, outcome_index=gi, post_state=posts[gi])
-            for row, gi in zip(lam, groups)]
+            for row, gi in zip(_barycentric(u, m.dim_n), groups)]
 
 
 def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
                     index: int = 0,
                     psi: Optional[DensityState] = None) -> MeasurementRecord:
-    """One disintegration-and-collapse draw.
+    """One disintegration-and-collapse draw, classified by the sampler's kernel
+    ``_window_winners`` as :func:`run_measurement` counts draw ``index``; the
+    tests check the kernel against the paper's rule (``winning_vertices``).
 
     ``psi`` is only needed when the simplex has degenerate outcome groups,
     whose post-states are projections of the pre-measurement state.
@@ -423,10 +424,12 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
 
     ``obs`` may be a :class:`SpinObservable`, a (kets, eigenvalues) pair, or a
     prebuilt :class:`MeasurementSimplex`, and ``generators`` the basis of psi's
-    dimension.  Sample ``i`` draws its disintegration point as ``sample_collapse(...,
-    seed, index=i)`` does, so statistics are reproducible sample-by-sample.  Reports
-    per-outcome probabilities, empirical frequencies, binomial standard errors, the
-    largest absolute deviation, and the first ``RECORD_COUNT`` (10) full records.
+    dimension.  Sample ``i`` draws its point and outcome as ``sample_collapse(...,
+    seed, index=i)`` does: one kernel, ``_window_winners``, classifies the draws
+    for counts and records alike, and the tests check it against the paper's
+    rule (``winning_vertices``).  Reports per-outcome probabilities, empirical
+    frequencies, binomial standard errors, the largest absolute deviation, and
+    the first ``RECORD_COUNT`` (10) full records.
 
     Outcomes are counted in windows of the stream of at most 8192 draws, and
     no disintegration point is kept.  Up to four workers, no more than the
@@ -435,10 +438,11 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     one window at a time.  All windows held at once share 512 KiB of
     uniforms, so memory grows neither with ``samples`` nor with N (traced
     peak 1.0-1.3 MB at N = 2...64 with two workers).  Runs of fewer than four
-    windows, and N >= 32, stay on the calling thread.  The counts depend neither on the window size nor on
-    which worker counted which window.  Only the recorded samples are drawn
-    again, by :func:`sample_collapse`'s path in one call, so each record's
-    ``lambda_`` is a row of a ``(RECORD_COUNT, N)`` array.
+    windows, and N >= 32, stay on the calling thread.  The counts depend
+    neither on the window size nor on which worker counted which window.
+    Only the recorded samples are drawn again, by :func:`sample_collapse`'s
+    path in one call, so each record's ``lambda_`` is a row of a
+    ``(RECORD_COUNT, N)`` array.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

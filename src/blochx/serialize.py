@@ -114,10 +114,9 @@ def _generator_text(g: GeneratorSet, level: int, out) -> None:
     matrix_pad, row_pad, cell_pad = ("  " * (level + i) for i in (1, 2, 3))
     row_sep, cell_sep = ",\n" + row_pad, ",\n" + cell_pad
 
-    def row(zero, column=None, cell=None):
+    def row(zero, column, cell):
         cells = [zero] * n
-        if column is not None:
-            cells[column] = cell
+        cells[column] = cell
         return "[\n" + cell_pad + cell_sep.join(cells) + "\n" + row_pad + "]"
 
     def members():
@@ -125,12 +124,12 @@ def _generator_text(g: GeneratorSet, level: int, out) -> None:
         # the cells (j, k) and (k, j) of the symmetric, then the antisymmetric pairs
         for zero, at_jk, at_kj in (("[0, 0]", "[1, 0]", "[1, 0]"),
                                    ("[0, -0]", "[0, -1]", "[0, 1]")):
-            zero_row = row(zero)
+            zero_row = row(zero, 0, zero)
             for j, k in zip(*(x.tolist() for x in pairs)):
                 rows = [zero_row] * n
                 rows[j], rows[k] = row(zero, k, at_jk), row(zero, j, at_kj)
                 yield rows
-        zero_row = row("[0, 0]")
+        zero_row = row("[0, 0]", 0, "[0, 0]")
         for l, (c, lc) in enumerate(zip(norm.tolist(), (-l_norm).tolist()), 1):
             # c on the diagonal entries 0..l-1, -l c on entry l
             c_cell, lc_cell = (f"[{format(x, '.17g')}, 0]" for x in (c, lc))

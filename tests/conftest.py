@@ -36,6 +36,23 @@ def random_observable_frame(n: int, rng: np.random.Generator):
     return eigh(random_hermitian(n, rng))[1], np.arange(n, dtype=float)
 
 
+def winning_vertices(lam, weights) -> np.ndarray:
+    """The paper's sub-simplex rule, the oracle for the sampler's kernel: the
+    vertex index per row of ``lam``, the minimizer of lambda_j / w_j (with
+    lambda_j / 0 = +inf).
+
+    A barycentric point lies in the sub-simplex spanned by the on-simplex
+    state and the vertices other than i exactly when i attains that
+    minimum, so this reproduces membership of the disintegration point in
+    outcome i's sub-region.  Boundary ties go to the lowest index.
+    """
+    lam = np.atleast_2d(lam)
+    ratios = np.full(lam.shape, np.inf)
+    positive = weights > 0.0
+    ratios[:, positive] = lam[:, positive] / weights[positive]
+    return ratios.argmin(axis=1)
+
+
 def nested_lists(x):
     """``x`` with every complex ndarray (vector, matrix or stack of
     matrices) and every generator set's stack in the nested [re, im] form

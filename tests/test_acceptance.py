@@ -39,8 +39,9 @@ def test_criterion_1_generator_algebra():
         gram = np.einsum("aij,bji->ab", g.matrices, g.matrices)
         worst = max(worst, float(np.max(np.abs(gram - 2 * np.eye(n * n - 1)))))
     g2 = build_generators(2)
-    pauli_exact = (np.array_equal(g2[0], PAULI_1) and np.array_equal(g2[1], PAULI_2)
-                   and np.array_equal(g2[2], PAULI_3))
+    pauli_exact = (np.array_equal(g2.matrices[0], PAULI_1)
+                   and np.array_equal(g2.matrices[1], PAULI_2)
+                   and np.array_equal(g2.matrices[2], PAULI_3))
     report(1, "generator algebra", worst < 1e-12 and pauli_exact,
            f"max residual {worst:.2e}, N=2 Pauli exact: {pauli_exact}")
 

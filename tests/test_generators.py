@@ -11,26 +11,26 @@ class TestBuildGenerators:
     def test_n2_is_exactly_the_pauli_triple(self):
         g = build_generators(2)
         assert len(g) == 3
-        assert np.array_equal(g[0], PAULI_1)
-        assert np.array_equal(g[1], PAULI_2)
-        assert np.array_equal(g[2], PAULI_3)
+        assert np.array_equal(g.matrices[0], PAULI_1)
+        assert np.array_equal(g.matrices[1], PAULI_2)
+        assert np.array_equal(g.matrices[2], PAULI_3)
 
     def test_n3_diagonal_family(self):
         g = build_generators(3)
         assert len(g) == 8
         # evaluated by hand: l=1 gives diag(1, -1, 0), l=2 gives diag(1, 1, -2)/sqrt(3)
-        assert np.allclose(g[6], np.diag([1.0, -1.0, 0.0]), atol=1e-15)
-        assert np.allclose(g[7], np.diag([1.0, 1.0, -2.0]) / np.sqrt(3), atol=1e-15)
+        assert np.allclose(g.matrices[6], np.diag([1.0, -1.0, 0.0]), atol=1e-15)
+        assert np.allclose(g.matrices[7], np.diag([1.0, 1.0, -2.0]) / np.sqrt(3), atol=1e-15)
 
     def test_ordering_blocks(self):
         g = build_generators(3)
         # symmetric pairs first (real entries), then imaginary pairs, then diagonals
         for i in range(3):
-            assert np.max(np.abs(g[i].imag)) == 0
+            assert np.max(np.abs(g.matrices[i].imag)) == 0
         for i in range(3, 6):
-            assert np.max(np.abs(g[i].real)) == 0
+            assert np.max(np.abs(g.matrices[i].real)) == 0
         for i in range(6, 8):
-            assert np.max(np.abs(g[i] - np.diag(np.diag(g[i])))) == 0
+            assert np.max(np.abs(g.matrices[i] - np.diag(np.diag(g.matrices[i])))) == 0
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_orthogonality_and_tracelessness(self, n):
@@ -40,13 +40,13 @@ class TestBuildGenerators:
         assert np.max(traces) < 1e-12
         gram = np.einsum("aij,bji->ab", g.matrices, g.matrices)
         assert np.max(np.abs(gram - 2 * np.eye(n * n - 1))) < 1e-12
-        hermiticity = max(np.max(np.abs(m - m.conj().T)) for m in g)
+        hermiticity = max(np.max(np.abs(m - m.conj().T)) for m in g.matrices)
         assert hermiticity < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_diagonal_member_count(self, n):
         g = build_generators(n)
-        diagonal = [m for m in g if np.max(np.abs(m - np.diag(np.diag(m)))) == 0]
+        diagonal = [m for m in g.matrices if np.max(np.abs(m - np.diag(np.diag(m)))) == 0]
         assert len(diagonal) == n - 1
         for m in diagonal:
             assert abs(np.trace(m @ m).real - 2.0) < 1e-12
@@ -105,11 +105,11 @@ class TestLazyStack:
 
     def test_indexing_builds_the_stack_once(self):
         g = build_generators(3)
-        first = g[0]
+        first = g.matrices[0]
         assert "matrices" in g.__dict__
         assert g.matrices is g.matrices
         assert np.array_equal(first, g.matrices[0])
-        assert len(list(g)) == 8
+        assert len(list(g.matrices)) == 8
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from blochx.measurement import (OnSimplexState, approach_trajectory,
                                 run_measurement, sample_collapse,
                                 simplex_from_observable)
 from blochx.spin import Direction3, X3, build_spin_system, spin_along
-from conftest import ket_state, random_observable_frame
+from conftest import ket_state, random_observable_frame, winning_vertices
 
 SRC_ROOT = Path(measurement.__file__).resolve().parents[1]
 
@@ -355,10 +355,17 @@ class TestSampleCollapse:
             sample_collapse(on, m, seed=1)
 
     def test_boundary_tie_goes_to_lowest_index(self):
-        from blochx.measurement import _winning_vertices
         lam = np.array([[0.5, 0.5]])
         weights = np.array([0.5, 0.5])
-        assert _winning_vertices(lam, weights)[0] == 0
+        assert winning_vertices(lam, weights)[0] == 0
+
+    def test_the_kernel_gives_an_exact_tie_to_the_lowest_index(self):
+        # equal uniforms and equal weights, over every vertex and over a subset
+        for n, positive in ((2, [0, 1]), (5, [0, 1, 2, 3, 4]), (5, [1, 3, 4])):
+            window = np.full((3, measurement._width(n)), 0.25)
+            w = np.full((len(positive), 1), 1.0 / len(positive))
+            winners = measurement._window_winners(window, np.array(positive), w)
+            assert np.array_equal(winners, [0, 0, 0])
 
     def test_all_zero_weights_rejected(self):
         m, _ = spin_simplex(0.5)
@@ -488,10 +495,10 @@ CHUNK = measurement._CHUNK_SAMPLES
 
 def stream_counts(stats, seed):
     """The counts of the whole-array path: every point drawn at once,
-    normalized, and classified by ``_winning_vertices``."""
+    normalized, and classified by the ``winning_vertices`` oracle."""
     m = stats.simplex
     lam = barycentric_stream(m.dim_n, seed, 0, stats.samples)
-    vertex_counts = np.bincount(measurement._winning_vertices(lam, stats.vertex_weights),
+    vertex_counts = np.bincount(winning_vertices(lam, stats.vertex_weights),
                                 minlength=m.dim_n)
     return np.bincount(m.vertex_group, weights=vertex_counts,
                        minlength=m.n_outcomes).astype(np.int64)
@@ -633,6 +640,27 @@ def test_counts_do_not_depend_on_the_worker_count(case, chunk, samples, monkeypa
         assert np.array_equal(stats.counts, stream_counts(stats, 83))
 
 
+@pytest.mark.parametrize("case", ("zero weight", "1/2x1/2 coupled"))
+def test_single_draws_tally_to_the_counts(case):
+    # sample_collapse classifies draw i as run_measurement counts it
+    rng = np.random.default_rng(303)
+    if case == "zero weight":
+        g = build_generators(5)
+        m = simplex_from_observable(random_observable_frame(5, rng), g)
+        p = rng.dirichlet(np.ones(5))
+        p[[0, 2]] = 0.0  # weights 0, 0.51, 0, 0.24, 0.25: draws skip two columns
+        psi = DensityState(np.tensordot(p / p.sum(), m.projectors, 1))
+    else:
+        m, g = coupled_half_half()
+        psi = random_density(4, rng)
+    on = project_onto_simplex(state_to_bloch(psi, g), m)
+    stats = run_measurement(psi, m, 3_000, 113, generators=g)
+    assert case != "zero weight" or np.count_nonzero(stats.vertex_weights) == 3
+    outcomes = [sample_collapse(on, m, 113, index=i, psi=psi).outcome_index
+                for i in range(3_000)]
+    assert np.array_equal(np.bincount(outcomes, minlength=m.n_outcomes), stats.counts)
+
+
 def test_a_worker_reads_its_claimed_windows_at_their_counters():
     n, samples, draws = 5, 1003, 100
     weights = np.random.default_rng(89).dirichlet(np.ones(n))
@@ -644,7 +672,7 @@ def test_a_worker_reads_its_claimed_windows_at_their_counters():
                                    weights[positive][:, None], tally)
     assert all(len(tally) == 1 for tally in tallies)
     lam = barycentric_stream(n, 89, 0, samples)
-    expected = np.bincount(measurement._winning_vertices(lam, weights), minlength=n)
+    expected = np.bincount(winning_vertices(lam, weights), minlength=n)
     assert np.array_equal(tallies[0][0] + tallies[1][0], expected[positive])
 
 
@@ -678,7 +706,7 @@ def test_helpers_start_only_for_a_split_worth_making(s, samples, split, monkeypa
 def test_a_failing_helper_fails_the_call(monkeypatch):
     monkeypatch.setattr(measurement, "_allowed_cores", lambda: 2)
     calls = []
-    real = measurement._window_wins
+    real = measurement._window_winners
 
     def fail_off_the_calling_thread(*args):
         calls.append(threading.current_thread())
@@ -687,7 +715,7 @@ def test_a_failing_helper_fails_the_call(monkeypatch):
         time.sleep(0.01)  # leave windows for the helper
         return real(*args)
 
-    monkeypatch.setattr(measurement, "_window_wins", fail_off_the_calling_thread)
+    monkeypatch.setattr(measurement, "_window_winners", fail_off_the_calling_thread)
     m, g = spin_simplex(0.5)
     psi = random_density(2, np.random.default_rng(101))
     try:

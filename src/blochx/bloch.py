@@ -123,9 +123,10 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
 
 
 def _bloch_rows(states, g: GeneratorSet) -> np.ndarray:
-    """``state_to_bloch(d, g).coords`` of each of ``states`` ((k, N) kets, or (k, N, N)
-    or N x N matrices) as the rows of one C-contiguous array, a block at a time.  The
-    first failing matrix raises: ValidationError for an imaginary residue, else BlochVector's."""
+    """``state_to_bloch(d, g).coords`` of each of ``states`` ((k, N) kets or a (k, N, N)
+    stack; one matrix ``m`` is passed as ``m[None]``, as ``state_to_bloch`` does) as the
+    rows of one C-contiguous array, a block at a time.  The first failing matrix
+    raises: ValidationError for an imaginary residue, else BlochVector's."""
     n, step = g.dim, max(1, _BLOCK_BYTES // (16 * g.dim ** 2))
     rows = np.empty((len(states), n * n - 1))
     for start in range(0, len(rows), step):

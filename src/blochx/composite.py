@@ -45,6 +45,16 @@ class CompositeSpinSystem:
         return n1 * c[0] + n2 * c[1] + n3 * c[2]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two 2-D arrays as one broadcast product, without
+    its wrapper: entry (i * N2 + j, k * M2 + l) is a[i, k] * b[j, l], so for
+    two arrays of kets, row i * N2 + j is np.kron(kets1[i], kets2[j]).  These
+    are np.kron's products with a's entry first; numpy's complex product is
+    not symmetric in its operands bit for bit, so the order stays."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def build_composite(s1: float, s2: float) -> CompositeSpinSystem:
     """Assemble the total spin components of two spin entities."""
     sys1 = build_spin_system(s1)
@@ -52,7 +62,7 @@ def build_composite(s1: float, s2: float) -> CompositeSpinSystem:
     i1 = np.eye(sys1.dim, dtype=complex)
     i2 = np.eye(sys2.dim, dtype=complex)
     components = tuple(
-        np.kron(a, i2) + np.kron(i1, b)
+        _kron(a, i2) + _kron(i1, b)
         for a, b in zip((sys1.s1, sys1.s2, sys1.s3), (sys2.s1, sys2.s2, sys2.s3))
     )
     total_sq = sum(c @ c for c in components)
@@ -151,7 +161,6 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     obs2 = spin_along(c.system2, n)
     # the round trip through each projector sets last bits that compose reports carry
     kets1, kets2 = _round_trip(obs1.kets), _round_trip(obs2.kets)
-    # row i * N2 + j is np.kron(kets1[i], kets2[j]), the same products
-    products = (kets1[:, None, :, None] * kets2[None, :, None, :]).reshape(c.dim, c.dim)
+    products = _kron(kets1, kets2)
     mu1, mu2 = np.meshgrid(obs1.eigenvalues, obs2.eigenvalues, indexing="ij")
     return ProductBasis(kets=fix_phases(products), mu1=mu1.ravel(), mu2=mu2.ravel())

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from blochx.composite import build_composite, coupled_basis, product_basis
-from blochx.spin import Direction3, X3
+from blochx.composite import _round_trip, build_composite, coupled_basis, product_basis
+from blochx.correspondence import random_directions
+from blochx.linalg import fix_phases
+from blochx.spin import Direction3, X3, build_spin_system, spin_along
+
+# every (s1, s2) with N1 N2 <= 64, in half-integer steps from 1/2
+SPIN_PAIRS = [((n1 - 1) / 2, (n2 - 1) / 2)
+              for n1 in range(2, 33) for n2 in range(2, 33) if n1 * n2 <= 64]
 
 
 def one_entity_ops(c, n):
@@ -52,6 +58,21 @@ class TestBuildComposite:
     def test_rejects_invalid_spins(self):
         with pytest.raises(ValueError, match="invalid spin"):
             build_composite(0.3, 0.5)
+
+    def test_components_equal_np_kron_bit_for_bit(self):
+        # uint64 views, so that the signs of zeros count too
+        for s1, s2 in SPIN_PAIRS:
+            c = build_composite(s1, s2)
+            sys1, sys2 = build_spin_system(s1), build_spin_system(s2)
+            i1 = np.eye(sys1.dim, dtype=complex)
+            i2 = np.eye(sys2.dim, dtype=complex)
+            expected = [np.kron(a, i2) + np.kron(i1, b) for a, b in
+                        zip((sys1.s1, sys1.s2, sys1.s3), (sys2.s1, sys2.s2, sys2.s3))]
+            for got, want in zip(c.components, expected):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (s1, s2)
+            square = sum(e @ e for e in expected)
+            assert np.array_equal(c.total_s_squared.view(np.uint64),
+                                  square.view(np.uint64)), (s1, s2)
 
 
 class TestCoupledBasis:
@@ -123,6 +144,16 @@ class TestProductBasis:
                 assert residual > 0.5
             else:
                 assert residual < 1e-9
+
+    @pytest.mark.parametrize("s1,s2", ((0.5, 1.5), (1.5, 1.0), (3.5, 0.5), (2.0, 2.5), (7.5, 1.5)))
+    def test_kets_equal_np_kron_bit_for_bit(self, s1, s2):
+        c = build_composite(s1, s2)
+        for n in random_directions(4, seed=int(20 * s1 + 2 * s2)):
+            kets1 = _round_trip(spin_along(c.system1, n).kets)
+            kets2 = _round_trip(spin_along(c.system2, n).kets)
+            expected = fix_phases(np.kron(kets1, kets2))
+            got = product_basis(c, n).kets
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_completeness_unitarity(self):
         c = build_composite(1.0, 1.0)

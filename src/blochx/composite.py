@@ -46,11 +46,9 @@ class CompositeSpinSystem:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two 2-D arrays as one broadcast product, without
-    its wrapper: entry (i * N2 + j, k * M2 + l) is a[i, k] * b[j, l], so for
-    two arrays of kets, row i * N2 + j is np.kron(kets1[i], kets2[j]).  These
-    are np.kron's products with a's entry first; numpy's complex product is
-    not symmetric in its operands bit for bit, so the order stays."""
+    """``np.kron(a, b)`` of two 2-D arrays without its wrapper: for two arrays of
+    kets, row i * N2 + j is np.kron(kets1[i], kets2[j]).  a's entry comes first, as
+    in np.kron, since numpy's complex product is not symmetric bit for bit."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 

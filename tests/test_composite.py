@@ -4,7 +4,7 @@ import pytest
 from blochx.composite import _round_trip, build_composite, coupled_basis, product_basis
 from blochx.correspondence import random_directions
 from blochx.linalg import fix_phases
-from blochx.spin import Direction3, X3, build_spin_system, spin_along
+from blochx.spin import Direction3, X3, spin_along
 
 # every (s1, s2) with N1 N2 <= 64, in half-integer steps from 1/2
 SPIN_PAIRS = [((n1 - 1) / 2, (n2 - 1) / 2)
@@ -63,7 +63,7 @@ class TestBuildComposite:
         # uint64 views, so that the signs of zeros count too
         for s1, s2 in SPIN_PAIRS:
             c = build_composite(s1, s2)
-            sys1, sys2 = build_spin_system(s1), build_spin_system(s2)
+            sys1, sys2 = c.system1, c.system2
             i1 = np.eye(sys1.dim, dtype=complex)
             i2 = np.eye(sys2.dim, dtype=complex)
             expected = [np.kron(a, i2) + np.kron(i1, b) for a, b in

@@ -135,14 +135,19 @@ def _bloch_rows(states, g: GeneratorSet) -> np.ndarray:
             block = _projectors(block)
         if block.shape[1:] != (n, n):
             raise ValueError(f"dimension mismatch: state is {block.shape[-1]}, generators are {n}")
-        raw = _generator_traces(block, g) * (n / (2.0 * g.c))
-        residue = np.max(np.abs(raw.imag), axis=1)
-        bad = (residue > RESIDUE_ATOL) | ~(np.linalg.norm(raw.real, axis=1) <= 1.0 + NORM_ATOL)
-        for i in np.flatnonzero(bad):
+        raw = _generator_traces(block, g)
+        raw *= n / (2.0 * g.c)
+        real = rows[start:start + len(block)]
+        real[...] = raw.real
+        # np.linalg.norm's sum for axis=1 without its wrapper, which costs more than
+        # the sum at small N
+        residue = np.maximum.reduce(np.abs(raw.imag), axis=1)
+        norm = np.sqrt(np.add.reduce(real * real, axis=1))
+        bad = (residue > RESIDUE_ATOL) | ~(norm <= 1.0 + NORM_ATOL)
+        for i in bad.nonzero()[0]:
             if residue[i] > RESIDUE_ATOL:
                 raise ValidationError(f"imaginary residue {residue[i]:.3e} in coordinates")
-            BlochVector(n, raw[i].real)  # its own norm check, with its error text
-        rows[start:start + len(block)] = raw.real
+            BlochVector(n, real[i])  # its own norm check, with its error text
     return rows
 
 

@@ -8,6 +8,12 @@ bases agree only on the extremal states; the product states with unequal
 projections are no eigenvectors of S^2, and the coupled zero-projection
 states are entangled.  Each basis is its kets, the rows of one C-contiguous
 array, next to arrays of their labels; no N x N projector is formed.
+
+No direction changes S^2, so a composite keeps its S^2 eigenspaces once it
+has split them (on the first coupled basis, not when it is built): each
+eigenspace's spin s and its eigenvectors as the columns of an F-ordered
+block, next to the block's adjoint.  A coupled basis along a direction then
+only diagonalizes the total component within each block.
 """
 from __future__ import annotations
 
@@ -35,9 +41,16 @@ class CompositeSpinSystem:
     total_s_squared: np.ndarray
 
     @cached_property
-    def _casimir(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of the squared total spin, which no direction changes."""
-        return eigh(self.total_s_squared)
+    def _eigenspaces(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        """``(s, block, block_h)`` for each S^2 eigenspace, by s ascending:
+        its spin, its eigenvectors as the columns of an F-ordered block, and
+        the block's adjoint, C-ordered."""
+        values, kets = eigh(self.total_s_squared)
+        spaces = []
+        for group in degeneracy_groups(values):
+            block = kets[group].T
+            spaces.append((_spin_from_casimir(float(values[group[0]])), block, block.conj().T))
+        return tuple(spaces)
 
     def total_along(self, n: Direction3) -> np.ndarray:
         n1, n2, n3 = n.components
@@ -99,10 +112,14 @@ class ProductBasis:
         return self.kets, self.mu1 + self.mu2
 
 
-def _snap_half_integer(x: float, bound: float) -> float:
-    snapped = round(2.0 * x) / 2.0
-    if abs(x - snapped) > EIGENVALUE_SNAP_ATOL or abs(snapped) > bound + 1e-9:
-        raise ValueError(f"eigenvalue {x} is not on the expected half-integer grid")
+def _snap_half_integers(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Each of ``x`` on its nearest half-integer, which must lie within 1e-9 of
+    it and, in magnitude, at most its ``bound``; the first that does not raises.
+    Halves round to even, as Python's round does, and + 0.0 turns -0.0 into 0.0."""
+    snapped = np.round(2.0 * x) / 2.0 + 0.0
+    bad = (np.abs(x - snapped) > EIGENVALUE_SNAP_ATOL) | (np.abs(snapped) > bound + 1e-9)
+    if bad.any():
+        raise ValueError(f"eigenvalue {float(x[bad.argmax()])} is not on the expected half-integer grid")
     return snapped
 
 
@@ -122,22 +139,19 @@ def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
     block is re-Hermitized before diagonalizing to shed rounding noise.
     """
     total = c.total_along(n)
-    values, kets = c._casimir
     rows, s_labels, mu = [], [], []
-    for group in degeneracy_groups(values):
-        s_label = _spin_from_casimir(float(values[group[0]]))
+    for s_label, block, block_h in c._eigenspaces:
         # BLAS rounds by operand layout, and compose reports carry the last bits:
         # keep the block F-ordered and multiply it one strided column at a time
-        block = kets[group].T
-        sub = block.conj().T @ total @ block
+        sub = block_h @ total @ block
         sub = (sub + sub.conj().T) / 2.0
         sub_values, sub_kets = eigh(sub)
         columns = np.ascontiguousarray(sub_kets.T)
-        for j in range(len(group)):
-            s_labels.append(s_label)
-            mu.append(_snap_half_integer(float(sub_values[j]), s_label))
-            rows.append(block @ columns[:, j])
-    s_labels, mu = np.array(s_labels), np.array(mu)
+        rows += [block @ columns[:, j] for j in range(len(sub_values))]
+        s_labels.append(np.full(len(sub_values), s_label))
+        mu.append(sub_values)
+    s_labels = np.concatenate(s_labels)
+    mu = _snap_half_integers(np.concatenate(mu), s_labels)
     order = np.lexsort((mu, s_labels))
     # the phase fix is not idempotent bit for bit, and reports carry both passes
     return CoupledBasis(kets=fix_phases(fix_phases(np.array(rows)[order])),
@@ -160,5 +174,6 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     # the round trip through each projector sets last bits that compose reports carry
     kets1, kets2 = _round_trip(obs1.kets), _round_trip(obs2.kets)
     products = _kron(kets1, kets2)
-    mu1, mu2 = np.meshgrid(obs1.eigenvalues, obs2.eigenvalues, indexing="ij")
-    return ProductBasis(kets=fix_phases(products), mu1=mu1.ravel(), mu2=mu2.ravel())
+    mu1, mu2 = obs1.eigenvalues, obs2.eigenvalues
+    return ProductBasis(kets=fix_phases(products), mu1=np.repeat(mu1, len(mu2)),
+                        mu2=np.tile(mu2, len(mu1)))

@@ -49,16 +49,17 @@ class GeneratorSet:
         return _stack(np.eye(self.dim, dtype=complex))
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Where the coordinate maps read and write: the flat positions of
-        the entries (j, k) and (k, j) of each pair j < k, and for the
-        diagonal members l = 1..N-1 the normalizations sqrt(2/(l(l+1)))
-        and the same times l."""
+        the entries (j, k) and (k, j) of each pair j < k, for the diagonal
+        members l = 1..N-1 the normalizations sqrt(2/(l(l+1))) and the same
+        times l, and the (N, N-1) mask of the diagonal entries j < l that
+        member l sums."""
         n = self.dim
         j, k = np.triu_indices(n, 1)
         l = np.arange(1, n)
         norm = np.sqrt(2.0 / (l * (l + 1)))
-        return j * n + k, k * n + j, norm, l * norm
+        return j * n + k, k * n + j, norm, l * norm, np.arange(n)[:, None] < l
 
     def __len__(self) -> int:
         return self.dim * self.dim - 1
@@ -97,23 +98,38 @@ def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
     and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for the
     diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
     imaginary parts.  A (k, N, N) stack gives the bits of each matrix alone."""
-    upper, lower, norm, l_norm = g._layout
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    # np.take, as indexing the last axis of a stack with an array ran up to 4x slower
-    a_jk, a_kj = np.take(flat, upper, axis=-1), np.take(flat, lower, axis=-1)
+    upper, lower, norm, l_norm, below = g._layout
     d = a.diagonal(axis1=-2, axis2=-1)
     # each diagonal entry is scaled before it is summed, left to right, as
     # np.einsum over the dense stack sums it, so the traces equal that
-    # contraction by value (a zero may carry the other sign)
-    head = np.cumsum(norm[:, None] * d[..., None, :], axis=-1).diagonal(axis1=-2, axis2=-1)
-    return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[..., 1:]], -1)
+    # contraction by value (a zero may carry the other sign).  The products come
+    # first: numpy's broadcast multiply holds two buffers of up to 128 KiB while
+    # it runs, and nothing else is alive yet
+    terms = norm * d[..., :, None]
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    # np.take, as indexing the last axis of a stack with an array ran up to 4x slower
+    a_jk, a_kj = np.take(flat, upper, axis=-1), np.take(flat, lower, axis=-1)
+    pairs = len(upper)
+    out = np.empty(a.shape[:-2] + (len(g),), dtype=complex)
+    np.add(a_jk, a_kj, out=out[..., :pairs])
+    anti = np.subtract(a_kj, a_jk, out=out[..., pairs:2 * pairs])
+    np.multiply(-1j, anti, out=anti)
+    # member l sums the products of the entries j < l (the mask ``below``) over the
+    # middle axis of the (k, N, N-1) terms: numpy adds along an outer axis one j
+    # after the other, in einsum's left-to-right order (along the inner axis it
+    # would sum pairwise, in another order).  The sum starts from -0, as -0 + x = x
+    # for every x keeps each zero's sign where numpy's default start, +0, turns a
+    # -0 into +0
+    head = np.add.reduce(terms, axis=-2, out=out[..., 2 * pairs:], where=below, initial=-0j)
+    np.subtract(head, l_norm * d[..., 1:], out=head)
+    return out
 
 
 def _generator_sum(coeffs: np.ndarray, g: GeneratorSet) -> np.ndarray:
     """sum_i coeffs_i L_i, scattered straight into the matrix entries; the
     inverse of :func:`_generator_traces` up to the factor Tr(L_i L_j) = 2."""
     n = g.dim
-    upper, lower, norm, l_norm = g._layout
+    upper, lower, norm, l_norm, _ = g._layout
     pairs = len(upper)
     sym, anti, diag = coeffs[:pairs], coeffs[pairs:2 * pairs], coeffs[2 * pairs:]
     m = np.zeros(n * n, dtype=complex)

@@ -110,7 +110,7 @@ def _generator_text(g: GeneratorSet, level: int, out) -> None:
     members and ``[0, -0]`` for the antisymmetric ones as the stack has
     them, but for the two or l + 1 rows that hold its nonzero entries."""
     n = g.dim
-    upper, _, norm, l_norm = g._layout
+    upper, _, norm, l_norm, _ = g._layout
     matrix_pad, row_pad, cell_pad = ("  " * (level + i) for i in (1, 2, 3))
     row_sep, cell_sep = ",\n" + row_pad, ",\n" + cell_pad
 

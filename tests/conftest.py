@@ -30,6 +30,19 @@ def fix_phase(v) -> np.ndarray:
     return v.copy()
 
 
+def traces_by_cumsum(a, g: GeneratorSet) -> np.ndarray:
+    """Tr(a L_i) as the three parts of ``generators._generator_traces`` joined by
+    np.concatenate, each diagonal member's head the diagonal of a running sum over
+    the scaled diagonal entries: the oracle for the kernel's masked reduction and
+    preallocated output, which must equal it bit for bit, zero signs included."""
+    upper, lower, norm, l_norm, _ = g._layout
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    a_jk, a_kj = flat[..., upper], flat[..., lower]
+    d = a.diagonal(axis1=-2, axis2=-1)
+    head = np.cumsum(norm[:, None] * d[..., None, :], axis=-1).diagonal(axis1=-2, axis2=-1)
+    return np.concatenate([a_jk + a_kj, -1j * (a_kj - a_jk), head - l_norm * d[..., 1:]], -1)
+
+
 def random_observable_frame(n: int, rng: np.random.Generator):
     """A random non-degenerate observable: the eigenstate kets of a random
     Hermitian matrix as rows, eigenvalues 0..n-1."""

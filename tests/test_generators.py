@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochx.bloch import pure_state_from_direction
-from blochx.generators import build_generators, expand_on_generators, scale_constant
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
+from blochx.bloch import _projectors, pure_state_from_direction
+from blochx.generators import _generator_traces, build_generators, expand_on_generators, scale_constant
+from blochx.spin import X3, Direction3, build_spin_system, spin_along
+from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian, traces_by_cumsum
 
 
 class TestBuildGenerators:
@@ -121,3 +122,31 @@ def test_expansion_matches_the_dense_stack(n, seed):
     coeff, coords = expand_on_generators(a, g)
     assert coeff == complex(np.trace(a)) / n
     assert np.max(np.abs(coords - np.einsum("kij,ji->k", g.matrices, a) / 2.0)) <= 1e-14
+
+
+SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), k=st.integers(1, 4), zeros=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_traces_equal_the_running_sum_bit_for_bit(n, k, zeros, seed):
+    """The kernel against the running-sum oracle as ``uint64`` views, so that every
+    zero's sign counts: eigenprojector stacks along X3 (kets of exact zeros, and so
+    zero entries of either sign) and along a random direction, and random, also
+    non-Hermitian, (k, N, N) stacks with a share ``zeros`` of signed-zero entries."""
+    rng = np.random.default_rng(seed)
+    g = build_generators(n)
+    spin = build_spin_system((n - 1) / 2)
+    a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    where = rng.random(a.shape) < zeros
+    a[where] = np.array(SIGNED_ZEROS)[rng.integers(0, 4, where.sum())]
+    stacks = [_projectors(spin_along(spin, X3).kets),
+              _projectors(spin_along(spin, Direction3.normalized(rng.standard_normal(3))).kets),
+              a, a[:1], (a + a.conj().transpose(0, 2, 1)) / 2.0]
+    for stack in stacks:
+        got = _generator_traces(stack, g)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), traces_by_cumsum(stack, g).view(np.uint64))
+        # each matrix of a stack alone gives the same bits
+        assert np.array_equal(_generator_traces(stack[-1:], g).view(np.uint64), got[-1:].view(np.uint64))

@@ -110,6 +110,15 @@ def test_spin_eigenbases_match_the_per_vertex_path(two_s, seed):
     assert m.vertices.flags.c_contiguous and _bits(m.vertices) == _bits(per_vertex)
 
 
+def _snap_half_integer(x, bound):
+    """The scalar snap of one eigenvalue onto the half-integer grid, as the coupled
+    basis labeled its entries one at a time: the oracle for its vectorized snap."""
+    snapped = round(2.0 * x) / 2.0
+    if abs(x - snapped) > 1e-9 or abs(snapped) > bound + 1e-9:
+        raise ValueError(f"eigenvalue {x} is not on the expected half-integer grid")
+    return snapped
+
+
 def _coupled_per_entry(c, d):
     """The coupled basis one entry at a time, as it was built before it was an
     array: eigenvectors as the F-ordered columns of each S^2 block, and each
@@ -126,11 +135,37 @@ def _coupled_per_entry(c, d):
         block = casimir[:, group]
         sub = block.conj().T @ total @ block
         sub_w, sub_v = columns((sub + sub.conj().T) / 2.0)
-        entries += [(s, composite._snap_half_integer(float(sub_w[j]), s),
+        entries += [(s, _snap_half_integer(float(sub_w[j]), s),
                      PureState(fix_phase(block @ sub_v[:, j])).amplitudes)
                     for j in range(len(group))]
     entries.sort(key=lambda e: e[:2])
     return entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.tuples(st.integers(-9, 9), st.sampled_from((0.0, -1e-12, 1e-12, -5e-10, 5e-10))),
+                       min_size=1, max_size=12),
+       faults=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(("off grid", "past bound"))), max_size=2))
+def test_snap_equals_the_scalar_snap(values, faults):
+    """The vectorized snap against the scalar one: the same labels bit for bit (no
+    -0.0 from the eigenvalues just below 0), and the first value off the grid or
+    past its bound raises with the scalar's text."""
+    x = np.array([k / 2.0 + off for k, off in values])
+    bound = np.array([abs(k) / 2.0 for k, _ in values])
+    for at, fault in faults:
+        if at < len(x):
+            if fault == "off grid":
+                x[at] += 0.25
+            else:
+                bound[at] -= 0.5
+    try:
+        expected = np.array([_snap_half_integer(float(v), float(b)) for v, b in zip(x, bound)])
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            composite._snap_half_integers(x, bound)
+        assert str(raised.value) == str(error)
+    else:
+        assert _bits(composite._snap_half_integers(x, bound)) == _bits(expected)
 
 
 def _product_per_entry(c, d):
@@ -242,14 +277,20 @@ def test_bloch_rows_checks_the_dimension():
 
 
 def test_casimir_is_diagonalized_once_per_composite(monkeypatch):
-    calls = []
+    calls, splits = [], []
 
     def spy(a):
         calls.append(a)
         return eigh(a)
 
+    def split_spy(values):
+        splits.append(values)
+        return degeneracy_groups(values)
+
     monkeypatch.setattr(composite, "eigh", spy)
+    monkeypatch.setattr(composite, "degeneracy_groups", split_spy)
     pairs = [build_composite(1.5, 1.0), build_composite(2.5, 0.5)]
+    assert not calls and not splits  # building a composite splits nothing yet
     for c in pairs:
         g = build_generators(c.dim)
         for seed in range(4):
@@ -257,7 +298,19 @@ def test_casimir_is_diagonalized_once_per_composite(monkeypatch):
             space_vector_composite(c, _direction(seed), "coupled", g)
     for c in pairs:
         assert sum(a is c.total_s_squared for a in calls) == 1
+    assert len(splits) == len(pairs)  # the eigenspace split too, once per composite
     assert len(calls) > len(pairs)  # the per-direction blocks are still diagonalized
+
+
+@pytest.mark.parametrize("s1,s2", ((1.5, 1.0), (2.5, 2.5), (0.5, 15.5)))
+def test_a_warm_composite_gives_a_fresh_ones_bits(s1, s2):
+    warm = build_composite(s1, s2)
+    for seed in range(5):
+        coupled_basis(warm, _direction(seed))
+    for d in (X3, _direction(5), _direction(0)):
+        fresh, kept = coupled_basis(build_composite(s1, s2), d), coupled_basis(warm, d)
+        for a, b in ((fresh.kets, kept.kets), (fresh.s, kept.s), (fresh.mu, kept.mu)):
+            assert _bits(a) == _bits(b)
 
 
 def _traced_peak(call):

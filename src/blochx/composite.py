@@ -132,8 +132,8 @@ def _spin_from_casimir(value: float) -> float:
 
 
 def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
-    """Diagonalize total S^2, then the total component along ``n`` within
-    each S^2 eigenspace.
+    """Diagonalize the total component along ``n`` within each of the
+    composite's S^2 eigenspaces.
 
     Works for any pair of spins without coefficient tables; the restricted
     block is re-Hermitized before diagonalizing to shed rounding noise.

@@ -12,8 +12,8 @@ lexicographic order, then the antisymmetric pairs in the same order, then
 the diagonal members, so coordinate vectors are reproducible across runs.
 
 The traces Tr(a L_i) and the combinations sum_i x_i L_i are read off and
-written into matrix entries directly, in O(N^2); the dense (N^2-1, N, N)
-stack is built only when it is asked for.
+written into matrix entries directly, in O(N^2), from one index layout; the
+dense (N^2-1, N, N) stack is scattered from the same layout on first access.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ def scale_constant(n: int) -> float:
 class GeneratorSet:
     """Ordered generator basis of an N-level system on the canonical basis.
 
-    ``c`` is sqrt(N(N-1)/2).  ``matrices``, the (N^2-1, N, N) stack, is
-    built on first access and then kept: the coordinate maps work from the
-    entries of an operator and never need it, so only reading ``matrices``,
-    whose rows are the members (the set is not a sequence), pays for it.
+    ``c`` is sqrt(N(N-1)/2).  ``matrices``, the (N^2-1, N, N) stack whose
+    rows are the members (the set is not a sequence), is scattered from
+    ``_layout`` on first access and kept.  The coordinate maps read the
+    entries of an operator and never need it, so only its readers pay for it.
     """
 
     dim: int
@@ -46,7 +46,20 @@ class GeneratorSet:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        return _stack(np.eye(self.dim, dtype=complex))
+        n = self.dim
+        upper, lower, norm, l_norm, below = self._layout
+        pairs = len(upper)
+        m = np.zeros((len(self), n * n), dtype=complex)
+        # the antisymmetric members are -i times a real matrix: their zeros are complex(0, -0)
+        m[pairs:2 * pairs] = complex(0.0, -0.0)
+        sym = np.arange(pairs)
+        m[sym, upper] = m[sym, lower] = 1.0
+        m[pairs + sym, upper], m[pairs + sym, lower] = complex(0.0, -1.0), 1j
+        # diagonal member l: sqrt(2/(l(l+1))) on the entries j < l, -l times that on entry l
+        diagonal = m[2 * pairs:, ::n + 1]
+        np.copyto(diagonal, norm[:, None], where=below.T)
+        np.fill_diagonal(diagonal[:, 1:], -l_norm)
+        return m.reshape(-1, n, n)
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -63,23 +76,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return self.dim * self.dim - 1
-
-
-def _stack(b: np.ndarray) -> np.ndarray:
-    """The dense generator stack on the columns of the unitary ``b``."""
-    n = b.shape[0]
-    cols = [b[:, i] for i in range(n)]
-    mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            mats.append(np.outer(cols[j], cols[k].conj()) + np.outer(cols[k], cols[j].conj()))
-    for j in range(n):
-        for k in range(j + 1, n):
-            mats.append(-1j * (np.outer(cols[j], cols[k].conj()) - np.outer(cols[k], cols[j].conj())))
-    for l in range(1, n):
-        diag_sum = sum(np.outer(cols[j], cols[j].conj()) for j in range(l))
-        mats.append(np.sqrt(2.0 / (l * (l + 1))) * (diag_sum - l * np.outer(cols[l], cols[l].conj())))
-    return np.stack(mats)
 
 
 def build_generators(n: int) -> GeneratorSet:

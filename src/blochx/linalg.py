@@ -4,8 +4,7 @@ Contract-checked wrappers around numpy: Hermitian eigendecompositions
 that return their eigenvectors as kets, the rows of one array, with a
 deterministic phase convention applied to all rows in one pass so that
 they are reproducible, and the grouping of degenerate eigenvalues.  Nothing
-here bounds N; the limit N <= 64 applies only to the dense generator
-stack (N^4 * 16 bytes) and to the dimensions the CLI accepts.
+here bounds N; the CLI caps the dimensions it accepts at 64.
 """
 from __future__ import annotations
 

@@ -167,9 +167,8 @@ def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> Measurement
         raise ValidationError("simplex centroid is off the ball center")
 
     groups = tuple(tuple(grp) for grp in degeneracy_groups(values))
-    vertex_group = np.empty(n, dtype=int)
-    for gi, grp in enumerate(groups):
-        vertex_group[list(grp)] = gi
+    # the values are sorted, so each group is a contiguous run of vertices
+    vertex_group = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
     return MeasurementSimplex(dim_n=n, vertices=vertices, eigenvalues=values,
                               kets=kets, degeneracy_groups=groups,
                               vertex_group=vertex_group)
@@ -192,17 +191,13 @@ def project_onto_simplex(r: BlochVector, m: MeasurementSimplex) -> OnSimplexStat
                           perp_norm=perp_norm)
 
 
-def born_probabilities(psi: DensityState, m: MeasurementSimplex, g: GeneratorSet,
-                       by_group: bool = False) -> np.ndarray:
-    """Outcome probabilities of measuring ``psi``, as barycentric weights.
+def born_probabilities(psi: DensityState, m: MeasurementSimplex, g: GeneratorSet) -> np.ndarray:
+    """Per-vertex probabilities of measuring ``psi``, as barycentric weights.
 
-    Equal to the trace probabilities Tr(psi P_i).  With ``by_group`` the
-    weights of each degeneracy group are summed, one entry per outcome.
+    Equal to the trace probabilities Tr(psi P_i).  :func:`run_measurement`'s
+    ``born`` sums them over each degeneracy group, one entry per outcome.
     """
-    weights = project_onto_simplex(state_to_bloch(psi, g), m).weights
-    if not by_group:
-        return weights
-    return np.array([weights[list(grp)].sum() for grp in m.degeneracy_groups])
+    return project_onto_simplex(state_to_bloch(psi, g), m).weights
 
 
 def approach_trajectory(r: BlochVector, m: MeasurementSimplex,

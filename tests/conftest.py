@@ -30,6 +30,26 @@ def fix_phase(v) -> np.ndarray:
     return v.copy()
 
 
+def bertlmann_krammer_stack(n: int) -> np.ndarray:
+    """The (N^2-1, N, N) generalized Gell-Mann stack built as Bertlmann and
+    Krammer write it, from outer products of the canonical basis kets: the
+    oracle for ``GeneratorSet.matrices``, which must equal it bit for bit,
+    zero signs included."""
+    b = np.eye(n, dtype=complex)
+    cols = [b[:, i] for i in range(n)]
+    mats = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            mats.append(np.outer(cols[j], cols[k].conj()) + np.outer(cols[k], cols[j].conj()))
+    for j in range(n):
+        for k in range(j + 1, n):
+            mats.append(-1j * (np.outer(cols[j], cols[k].conj()) - np.outer(cols[k], cols[j].conj())))
+    for l in range(1, n):
+        diag_sum = sum(np.outer(cols[j], cols[j].conj()) for j in range(l))
+        mats.append(np.sqrt(2.0 / (l * (l + 1))) * (diag_sum - l * np.outer(cols[l], cols[l].conj())))
+    return np.stack(mats)
+
+
 def traces_by_cumsum(a, g: GeneratorSet) -> np.ndarray:
     """Tr(a L_i) as the three parts of ``generators._generator_traces`` joined by
     np.concatenate, each diagonal member's head the diagonal of a running sum over

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from blochx.bloch import _projectors, pure_state_from_direction
 from blochx.generators import _generator_traces, build_generators, expand_on_generators, scale_constant
 from blochx.spin import X3, Direction3, build_spin_system, spin_along
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian, traces_by_cumsum
+from conftest import (PAULI_1, PAULI_2, PAULI_3, bertlmann_krammer_stack, random_hermitian,
+                      traces_by_cumsum)
 
 
 class TestBuildGenerators:
@@ -111,6 +112,14 @@ class TestLazyStack:
         assert g.matrices is g.matrices
         assert np.array_equal(first, g.matrices[0])
         assert len(list(g.matrices)) == 8
+
+
+@pytest.mark.parametrize("n", [*range(2, 25), 36])
+def test_stack_is_the_bertlmann_krammer_construction(n):
+    # bit for bit, zero signs included: the tests that read g.matrices rest on it
+    stack, oracle = build_generators(n).matrices, bertlmann_krammer_stack(n)
+    assert stack.shape == oracle.shape and stack.dtype == oracle.dtype and stack.flags.c_contiguous
+    assert stack.tobytes() == oracle.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

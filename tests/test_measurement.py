@@ -81,6 +81,16 @@ class TestSimplexFromObservable:
         assert np.allclose(m.eigenvalues, [0.0, 0.0, 1.0], atol=0)
         assert m.degeneracy_groups == ((0, 1), (2,))
         assert list(m.vertex_group) == [0, 0, 1]
+        # a 1x1 coupled simplex: mu = 0 fuses three kets (S = 0, 1, 2), mu = +-1 two each
+        pair = composite.build_composite(1.0, 1.0)
+        g = build_generators(pair.dim)
+        coupled = simplex_from_observable(
+            composite.coupled_basis(pair, Direction3.from_angles(1.3, 0.4)).eigensystem(), g)
+        assert [len(grp) for grp in coupled.degeneracy_groups] == [1, 2, 3, 2, 1]
+        for simplex in (m, coupled):
+            assert len(simplex.vertex_group) == simplex.dim_n
+            for gi, grp in enumerate(simplex.degeneracy_groups):
+                assert all(simplex.vertex_group[i] == gi for i in grp)
 
     @pytest.mark.parametrize("frame", ["random", "spin"])
     def test_given_projectors_are_used_as_they_are(self, frame, monkeypatch):
@@ -222,10 +232,11 @@ class TestBornProbabilities:
         rng = np.random.default_rng(73)
         psi = random_density(3, rng)
         per_vertex = born_probabilities(psi, m, g)
-        grouped = born_probabilities(psi, m, g, by_group=True)
+        grouped = run_measurement(psi, m, 1, 73, generators=g).born
+        assert m.degeneracy_groups == ((0,), (1, 2))
         assert grouped.shape == (2,)
-        assert abs(grouped[0] - per_vertex[0]) < 1e-14
-        assert abs(grouped[1] - per_vertex[1] - per_vertex[2]) < 1e-14
+        for born, grp in zip(grouped, m.degeneracy_groups):
+            assert abs(born - per_vertex[list(grp)].sum()) < 1e-14
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_three_formulas_agree(self, n):

@@ -13,7 +13,7 @@ simplex N (N^2 - 1) vertex floats) as usage errors before anything is
 built.  ``verify`` refuses more than 1,000,000 ``--trials``, and ``measure``
 more than 1,000 ``--trajectory-steps``, the same way.  A ``--state`` file
 holds a ``matrix`` of shape (N, N, 2) or an integer ``n`` with ``coords``,
-numbers only; anything else is a usage error.  The
+numbers only, in at most 16 MiB; anything else is a usage error.  The
 generators report is written one member at a time as it is formatted, from
 the index arithmetic of the generator set, so its memory stays O(N^2)
 however large the report; every other report is formatted whole, then
@@ -52,6 +52,7 @@ AGREEMENT_TOLERANCE = 1e-10
 MAX_DIM = 64
 MAX_TRIALS = 1_000_000  # verify keeps about 56 B per trial, so this bounds its run time
 MAX_TRAJECTORY_STEPS = 1_000  # a row holds N^2 numbers: about 95 MB of CSV at N=64
+MAX_STATE_BYTES = 16 * 2 ** 20  # an N=64 state's 8,192 numbers take a few MB pretty-printed
 
 
 class UsageError(Exception):
@@ -226,7 +227,7 @@ def emit_report(report: dict, args: argparse.Namespace) -> None:
     A report holding a GeneratorSet is streamed member by member, so its
     N^4 entries are never held; every other report is small and is
     formatted whole first, so one that fails to format writes nothing.  A
-    file that fails part way is removed."""
+    file that fails part way is removed; a report stdout refuses is a usage error."""
     body = {"blochx_schema": SCHEMA_VERSION,
             "generated_at": datetime.now(timezone.utc).isoformat()}
     body.update(report)
@@ -240,19 +241,32 @@ def emit_report(report: dict, args: argparse.Namespace) -> None:
             fp.write(text)
         fp.write("\n")
 
-    if args.output is None:
-        send(sys.stdout)
-    else:
+    if args.output is not None:
         _write_file(Path(args.output), send, f"output file {args.output}")
+        return
+    try:
+        send(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the Python docs' SIGPIPE advice: then the exit's flush cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise UsageError(f"cannot write report to stdout: {exc}")
 
 
 def _load_state_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fp:
+            # the cap and one byte at most, in blocks, as read(n) allocates n bytes
+            data = bytearray()
+            while block := fp.read(min(2 ** 16, MAX_STATE_BYTES + 1 - len(data))):
+                data += block
     except OSError as exc:
         raise UsageError(f"unreadable state file for --state: {exc}")
+    if len(data) > MAX_STATE_BYTES:
+        raise UsageError(f"--state file {path} is larger than {MAX_STATE_BYTES:,} bytes")
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode())
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in --state file {path}: {exc}")
     if not isinstance(obj, dict):
@@ -354,8 +368,8 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     if psi.dim != sys_.dim:
         raise UsageError(f"--state dimension {psi.dim} does not match --s {sys_.s} (N={sys_.dim})")
     g = build_generators(sys_.dim)
-    obs = spin_along(sys_, args.direction)
-    stats = run_measurement(psi, obs, args.samples, args.seed, generators=g)
+    simplex = simplex_from_observable(spin_along(sys_, args.direction), g)
+    stats = run_measurement(psi, simplex, args.samples, args.seed, generators=g)
     path = None if args.trajectory_steps is None else _trajectory_csv_path(args.output)
     report = {
         "command": "measure",
@@ -364,8 +378,8 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
         "direction": list(args.direction.components),
         "samples": stats.samples,
         "seed": stats.seed,
-        "outcome_eigenvalues": list(stats.simplex.outcome_eigenvalues),
-        "outcome_groups": [list(grp) for grp in stats.simplex.degeneracy_groups],
+        "outcome_eigenvalues": list(simplex.outcome_eigenvalues),
+        "outcome_groups": [list(grp) for grp in simplex.degeneracy_groups],
         "born": list(stats.born),
         "empirical": list(stats.empirical),
         "counts": [int(c) for c in stats.counts],
@@ -380,8 +394,7 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     }
     if path is not None:
         # written last, so a report that main then fails to write names it for removal
-        points = approach_trajectory(state_to_bloch(psi, g), stats.simplex,
-                                     args.trajectory_steps)
+        points = approach_trajectory(state_to_bloch(psi, g), simplex, args.trajectory_steps)
 
         def send(fp):
             # one row at a time, so the CSV is never held whole
@@ -399,7 +412,7 @@ def _cmd_compose(args: argparse.Namespace) -> dict:
     if args.basis == "coupled":
         b = coupled_basis(comp, args.direction)
         entries = [{"s": float(s), "mu_s": float(mu), "amplitudes": ket}
-                   for s, mu, ket in zip(b.s, b.mu, b.kets)]
+                   for s, mu, ket in zip(b.s, b.eigenvalues, b.kets)]
     else:
         b = product_basis(comp, args.direction)
         entries = [{"mu1": float(mu1), "mu2": float(mu2), "amplitudes": ket}

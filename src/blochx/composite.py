@@ -7,7 +7,7 @@ product basis of one-entity eigenstate pairs labeled (mu1, mu2).  The two
 bases agree only on the extremal states; the product states with unequal
 projections are no eigenvectors of S^2, and the coupled zero-projection
 states are entangled.  Each basis is its kets, the rows of one C-contiguous
-array, next to arrays of their labels; no N x N projector is formed.
+array, next to arrays of their labels and eigenvalues; no N x N projector is formed.
 
 No direction changes S^2, so a composite keeps its S^2 eigenspaces once it
 has split them (on the first coupled basis, not when it is built): each
@@ -86,30 +86,28 @@ def build_composite(s1: float, s2: float) -> CompositeSpinSystem:
 class CoupledBasis:
     """Simultaneous eigenbasis of total S^2 and the total component along a
     direction: the kets as the rows of one C-contiguous array, with their
-    labels ``s`` and ``mu``, sorted by (s, mu)."""
+    labels ``s`` and ``eigenvalues`` (mu_s), sorted by (s, mu_s)."""
 
     kets: np.ndarray
     s: np.ndarray
-    mu: np.ndarray
+    eigenvalues: np.ndarray
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kets and their total-component eigenvalues, ready to feed a
-        measurement simplex."""
-        return self.kets, self.mu
+        """``(kets, eigenvalues)``, read only by the benchmark harness; blochx
+        reads the two attributes."""
+        return self.kets, self.eigenvalues
 
 
 @dataclass(frozen=True)
 class ProductBasis:
     """Tensor products of one-entity eigenstates along a direction: the kets
     as the rows of one C-contiguous array, with their labels ``mu1`` and
-    ``mu2``, sorted by (mu1, mu2)."""
+    ``mu2`` and their ``eigenvalues`` mu1 + mu2, sorted by (mu1, mu2)."""
 
     kets: np.ndarray
     mu1: np.ndarray
     mu2: np.ndarray
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.kets, self.mu1 + self.mu2
+    eigenvalues: np.ndarray
 
 
 def _snap_half_integers(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -155,7 +153,7 @@ def coupled_basis(c: CompositeSpinSystem, n: Direction3) -> CoupledBasis:
     order = np.lexsort((mu, s_labels))
     # the phase fix is not idempotent bit for bit, and reports carry both passes
     return CoupledBasis(kets=fix_phases(fix_phases(np.array(rows)[order])),
-                        s=s_labels[order], mu=mu[order])
+                        s=s_labels[order], eigenvalues=mu[order])
 
 
 def _round_trip(kets: np.ndarray) -> np.ndarray:
@@ -174,6 +172,6 @@ def product_basis(c: CompositeSpinSystem, n: Direction3) -> ProductBasis:
     # the round trip through each projector sets last bits that compose reports carry
     kets1, kets2 = _round_trip(obs1.kets), _round_trip(obs2.kets)
     products = _kron(kets1, kets2)
-    mu1, mu2 = obs1.eigenvalues, obs2.eigenvalues
-    return ProductBasis(kets=fix_phases(products), mu1=np.repeat(mu1, len(mu2)),
-                        mu2=np.tile(mu2, len(mu1)))
+    mu1 = np.repeat(obs1.eigenvalues, len(obs2.eigenvalues))
+    mu2 = np.tile(obs2.eigenvalues, len(obs1.eigenvalues))
+    return ProductBasis(kets=fix_phases(products), mu1=mu1, mu2=mu2, eigenvalues=mu1 + mu2)

@@ -54,14 +54,18 @@ def direction_scale_composite(n1: int, n2: int) -> float:
     return float(np.sqrt(12.0 * (n - 1) / (n * n1 * n2 * (n1 * n1 + n2 * n2 - 2))))
 
 
+def _direction_vector(basis, scale: float, g: GeneratorSet, source: str) -> SpaceVector:
+    """``scale`` times the eigenvalue-weighted sum of the coordinate rows of
+    ``basis``, an eigenbasis with ``kets`` and ``eigenvalues``."""
+    coords = scale * (basis.eigenvalues @ _bloch_rows(basis.kets, g))
+    return SpaceVector(dim_n=g.dim, coords=coords, scale=scale, source=source)
+
+
 def space_vector_single(sys: SpinSystem, n: Direction3, g: GeneratorSet) -> SpaceVector:
     """Direction representative of a single spin entity: the normalized
     eigenvalue-weighted sum of its eigenstate vectors."""
-    obs = spin_along(sys, n)
-    vertices = _bloch_rows(obs.kets, g)
-    scale = direction_scale_single(sys.dim)
-    return SpaceVector(dim_n=sys.dim, coords=scale * (obs.eigenvalues @ vertices),
-                       scale=scale, source=f"single({sys.s})")
+    return _direction_vector(spin_along(sys, n), direction_scale_single(sys.dim), g,
+                             f"single({sys.s})")
 
 
 def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
@@ -69,16 +73,14 @@ def space_vector_composite(c: CompositeSpinSystem, n: Direction3, basis: str,
     """Direction representative of a two-entity composite, from either the
     coupled basis (weights mu_s) or the product basis (weights mu1 + mu2).
     The two constructions give the same vector."""
-    scale = direction_scale_composite(c.system1.dim, c.system2.dim)
     if basis == "coupled":
-        kets, weights = coupled_basis(c, n).eigensystem()
+        eigenbasis = coupled_basis(c, n)
     elif basis == "product":
-        kets, weights = product_basis(c, n).eigensystem()
+        eigenbasis = product_basis(c, n)
     else:
         raise ValueError(f"basis must be 'coupled' or 'product', got {basis!r}")
-    vertices = _bloch_rows(kets, g)
-    return SpaceVector(dim_n=c.dim, coords=scale * (weights @ vertices),
-                       scale=scale, source=f"{basis}({c.s1},{c.s2})")
+    return _direction_vector(eigenbasis, direction_scale_composite(c.system1.dim, c.system2.dim),
+                             g, f"{basis}({c.s1},{c.s2})")
 
 
 def verify_isomorphism(make_vector: Callable[[Direction3], SpaceVector],

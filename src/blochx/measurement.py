@@ -25,14 +25,13 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .bloch import BlochVector, DensityState, _bloch_rows, _projectors, state_to_bloch
 from .generators import GeneratorSet
 from .linalg import ValidationError, degeneracy_groups
-from .spin import SpinObservable
 
 VERTEX_GEOMETRY_ATOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
@@ -58,8 +57,6 @@ _WINDOW_BYTES = 512 * 1024
 _MAX_WORKERS = 4
 _MIN_SPLIT_DRAWS = 2048
 _MIN_SPLIT_WINDOWS = 4
-
-ObservableLike = Union[SpinObservable, tuple]
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,6 @@ class MeasurementRecord:
 class MeasurementStatistics:
     """Aggregate of repeated independent measurements of one state."""
 
-    simplex: MeasurementSimplex
     samples: int
     seed: int
     vertex_weights: np.ndarray
@@ -132,18 +128,16 @@ class MeasurementStatistics:
     records_sample: tuple[MeasurementRecord, ...]
 
 
-def simplex_from_observable(obs: ObservableLike, g: GeneratorSet) -> MeasurementSimplex:
+def simplex_from_observable(obs, g: GeneratorSet) -> MeasurementSimplex:
     """Build the eigenstate simplex of an observable.
 
-    ``obs`` is either a :class:`SpinObservable` or a ``(kets, eigenvalues)``
-    pair whose N x N ``kets`` hold an orthonormal eigenbasis as rows; any
-    other shape raises ValueError.  Vertices and kets are stored sorted by
-    eigenvalue ascending (stable).
+    ``obs`` is any eigenbasis with ``kets`` and ``eigenvalues`` (a spin
+    observable, a coupled or product basis, or a simplex), or a
+    ``(kets, eigenvalues)`` pair; the N x N ``kets`` hold an orthonormal
+    eigenbasis as rows, and any other shape raises ValueError.  Vertices and
+    kets are stored sorted by eigenvalue ascending (stable).
     """
-    if isinstance(obs, SpinObservable):
-        kets, values = obs.kets, obs.eigenvalues
-    else:
-        kets, values = obs
+    kets, values = obs if isinstance(obs, tuple) else (obs.kets, obs.eigenvalues)
     kets, values = np.asarray(kets, dtype=complex), np.asarray(values, dtype=float)
     n = g.dim
     if kets.shape != (n, n) or values.shape != (n,):
@@ -413,16 +407,15 @@ def sample_collapse(w: OnSimplexState, m: MeasurementSimplex, seed: int,
     return _records(_sanitize_weights(w.weights), m, seed, index, 1, psi)[0]
 
 
-def run_measurement(psi: DensityState, obs, samples: int, seed: int,
+def run_measurement(psi: DensityState, m: MeasurementSimplex, samples: int, seed: int,
                     generators: GeneratorSet) -> MeasurementStatistics:
-    """Measure ``psi`` repeatedly and aggregate the outcome statistics.
-
-    ``obs`` may be a :class:`SpinObservable`, a (kets, eigenvalues) pair, or a
-    prebuilt :class:`MeasurementSimplex`, and ``generators`` the basis of psi's
-    dimension.  Sample ``i`` draws its point and outcome as ``sample_collapse(...,
-    seed, index=i)`` does: one kernel, ``_window_winners``, classifies the draws
-    for counts and records alike, and the tests check it against the paper's
-    rule (``winning_vertices``).  Reports per-outcome probabilities, empirical
+    """Measure ``psi`` repeatedly on the simplex ``m`` (built by
+    :func:`simplex_from_observable`) and aggregate the outcome statistics;
+    ``generators`` is the basis of psi's dimension.  Sample ``i`` draws its
+    point and outcome as ``sample_collapse(..., seed, index=i)`` does: one
+    kernel, ``_window_winners``, classifies the draws for counts and records
+    alike, and the tests check it against the paper's rule
+    (``winning_vertices``).  Reports per-outcome probabilities, empirical
     frequencies, binomial standard errors, the largest absolute deviation, and
     the first ``RECORD_COUNT`` (10) full records.
 
@@ -441,8 +434,6 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    m = obs if isinstance(obs, MeasurementSimplex) else simplex_from_observable(obs, generators)
-
     on = project_onto_simplex(state_to_bloch(psi, generators), m)
     weights = _sanitize_weights(on.weights)
 
@@ -458,7 +449,7 @@ def run_measurement(psi: DensityState, obs, samples: int, seed: int,
     max_dev = float(np.max(np.abs(empirical - born)))
 
     records = _records(weights, m, seed, 0, min(RECORD_COUNT, samples), psi)
-    return MeasurementStatistics(simplex=m, samples=samples, seed=seed,
+    return MeasurementStatistics(samples=samples, seed=seed,
                                  vertex_weights=weights, born=born,
                                  counts=counts, empirical=empirical,
                                  std_errors=std_errors,

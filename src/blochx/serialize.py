@@ -4,8 +4,8 @@ significant digits.
 
 ``dumps`` takes complex ndarrays as they are: a vector, a matrix or a stack
 of matrices is written as its nested [re, im] lists, byte for byte what
-``dumps`` writes for ``matrix_to_json`` of each matrix, in one vectorized
-pass per matrix that formats each distinct float once.  A ``GeneratorSet``
+``dumps`` writes for those lists of Python floats, in one vectorized pass
+per matrix that formats each distinct float once.  A ``GeneratorSet``
 is written as its stack of matrices would be, but member by member from its
 index arithmetic, so neither the N^4 stack nor its text is ever held.
 
@@ -19,16 +19,6 @@ import math
 import numpy as np
 
 from .generators import GeneratorSet
-
-
-def complex_to_json(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
 
 
 def _floats(obj, what: str, ndim: int) -> np.ndarray:

@@ -3,7 +3,6 @@ import numpy as np
 from blochx.bloch import DensityState
 from blochx.generators import GeneratorSet
 from blochx.linalg import eigh
-from blochx.serialize import matrix_to_json
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,6 +83,18 @@ def winning_vertices(lam, weights) -> np.ndarray:
     positive = weights > 0.0
     ratios[:, positive] = lam[:, positive] / weights[positive]
     return ratios.argmin(axis=1)
+
+
+def complex_to_json(z) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def matrix_to_json(m) -> list:
+    """A complex matrix as rows of [re, im] cells of Python floats, one cell
+    at a time: the oracle for the serializer's vectorized ``_complex_text``."""
+    m = np.asarray(m, dtype=complex)
+    return [[complex_to_json(z) for z in row] for row in m]
 
 
 def nested_lists(x):

@@ -18,11 +18,12 @@ from blochx.generators import build_generators
 from blochx.measurement import (born_probabilities, approach_trajectory,
                                 lueders_post_state, run_measurement,
                                 simplex_from_observable)
-from blochx.serialize import dumps, matrix_to_json
+from blochx.serialize import dumps
 from blochx.spin import (Direction3, X3, build_spin_system,
                          classical_resultant_range, cone_projection_range,
                          spin_along)
-from conftest import PAULI_1, PAULI_2, PAULI_3, ket_state, random_observable_frame
+from conftest import (PAULI_1, PAULI_2, PAULI_3, ket_state, matrix_to_json,
+                      random_observable_frame)
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -115,9 +116,10 @@ def test_criterion_6_collapse_monte_carlo():
     worst_ratio = 0.0
     # two-level case at polar angle pi/3: probabilities (3/4, 1/4)
     psi2 = pure_state_from_direction(np.pi / 3, 0.0)
-    obs2 = spin_along(build_spin_system(0.5), X3)
-    stats2 = run_measurement(psi2, obs2, samples, seed=1001, generators=build_generators(2))
-    up_index = int(np.argmax(stats2.simplex.outcome_eigenvalues))
+    g2 = build_generators(2)
+    m2 = simplex_from_observable(spin_along(build_spin_system(0.5), X3), g2)
+    stats2 = run_measurement(psi2, m2, samples, seed=1001, generators=g2)
+    up_index = int(np.argmax(m2.outcome_eigenvalues))
     angle_ok = (abs(stats2.empirical[up_index] - 0.75) < 0.01
                 and abs(stats2.empirical[1 - up_index] - 0.25) < 0.01)
 
@@ -125,10 +127,10 @@ def test_criterion_6_collapse_monte_carlo():
     rng = np.random.default_rng(66)
     for s, seed in ((1.0, 1002), (1.5, 1003)):
         sys_ = build_spin_system(s)
-        obs = spin_along(sys_, Direction3.from_angles(1.1, 0.7))
+        g = build_generators(sys_.dim)
+        m = simplex_from_observable(spin_along(sys_, Direction3.from_angles(1.1, 0.7)), g)
         psi = random_density(sys_.dim, rng)
-        stats = run_measurement(psi, obs, samples, seed=seed,
-                                generators=build_generators(sys_.dim))
+        stats = run_measurement(psi, m, samples, seed=seed, generators=g)
         cases.append((stats.born, stats.empirical))
 
     ok = angle_ok
@@ -221,7 +223,7 @@ def test_criterion_9_composite_correspondence():
     v = space_vector_composite(comp, direction, "coupled", g)
     cb = coupled_basis(comp, direction)
     vertices = {(s, mu): state_to_bloch(ket_state(ket), g).coords
-                for s, mu, ket in zip(cb.s, cb.mu, cb.kets)}
+                for s, mu, ket in zip(cb.s, cb.eigenvalues, cb.kets)}
     closed_form = np.sqrt(3 / 8) * (vertices[(1.0, 1.0)] - vertices[(1.0, -1.0)])
     formula_err = float(np.max(np.abs(v.coords - closed_form)))
     ok = ok and formula_err < 1e-10

@@ -22,8 +22,8 @@ from blochx.bloch import pure_state_from_direction, random_density
 from blochx.cli import main, parse_args
 from blochx.linalg import ValidationError
 from blochx.generators import GeneratorSet
-from blochx.serialize import dumps, matrix_from_json, matrix_to_json, write
-from conftest import ket_state, nested_lists
+from blochx.serialize import dumps, matrix_from_json, write
+from conftest import ket_state, matrix_to_json, nested_lists
 
 
 SRC_ROOT = Path(blochx.__file__).resolve().parents[1]
@@ -468,6 +468,57 @@ class TestVerify:
         assert json.loads(result.stdout)["pass"] is False
 
 
+def buffered_env():
+    """``child_env`` with stdout buffered, as it is by default: the bytes left
+    in a buffered stdout are what the interpreter's exit would flush again."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestStdoutFailures:
+    """A report that cannot reach stdout exits 1 with one error line and no
+    traceback, and the interpreter's exit adds no "Exception ignored" line."""
+
+    def test_closed_pipe(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-m", "blochx", "generators", "--n", "32"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+                                 env=buffered_env())
+        head = child.stdout.read(10)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert head == b'{\n  "bloch'
+        assert stderr == "error: cannot write report to stdout: [Errno 32] Broken pipe\n"
+
+    def test_pipe_closed_before_a_small_report(self, tmp_path, psi_file):
+        # the report fits stdout's buffer, so only the flush meets the closed pipe
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "blochx", "bloch", "--state",
+                                     str(psi_file)], stdout=write, stderr=subprocess.PIPE,
+                                    text=True, cwd=tmp_path, env=buffered_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot write report to stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["bloch", "--state", "PSI"], ["generators", "--n", "16"]],
+                             ids=["formatted whole", "streamed"])
+    def test_full_device(self, argv, tmp_path, psi_file):
+        argv = [str(psi_file) if a == "PSI" else a for a in argv]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "blochx", *argv], stdout=full,
+                                    stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                                    env=buffered_env(), timeout=120)
+        assert result.returncode == 1
+        assert result.stderr == ("error: cannot write report to stdout: "
+                                 "[Errno 28] No space left on device\n")
+
+
 class TestErrors:
     def test_invalid_spin_names_flag(self, tmp_path):
         result = run_cli(["measure", "--s", "0.4", "--direction", "0,0,1",
@@ -486,6 +537,18 @@ class TestErrors:
                           "--state", "missing.json", "--samples", "10"], tmp_path)
         assert result.returncode == 1
         assert "--state" in result.stderr
+
+    def test_state_file_above_the_cap(self, tmp_path, psi_file):
+        # a valid state behind blanks: accepted at the cap, refused one byte above it
+        text = psi_file.read_text()
+        for extra, code in ((0, 0), (1, 1)):
+            big = tmp_path / "big.json"
+            big.write_text(" " * (cli.MAX_STATE_BYTES + extra - len(text)) + text)
+            assert big.stat().st_size == cli.MAX_STATE_BYTES + extra
+            result = run_cli(["bloch", "--state", str(big)], tmp_path)
+            assert result.returncode == code, result.stderr
+        assert result.stderr == (f"error: --state file {big} is larger than "
+                                 f"{cli.MAX_STATE_BYTES:,} bytes\n")
 
     def test_malformed_direction(self, tmp_path):
         result = run_cli(["spin", "--s", "0.5", "--direction", "0,0"], tmp_path)

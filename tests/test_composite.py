@@ -78,7 +78,7 @@ class TestBuildComposite:
 class TestCoupledBasis:
     def test_half_half_labels(self):
         cb = coupled_basis(build_composite(0.5, 0.5), X3)
-        assert list(zip(cb.s, cb.mu)) == [(0.0, 0.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]
+        assert list(zip(cb.s, cb.eigenvalues)) == [(0.0, 0.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]
         assert cb.kets.flags.c_contiguous and cb.kets.shape == (4, 4)
 
     def test_half_half_singlet_along_axis(self):
@@ -89,7 +89,7 @@ class TestCoupledBasis:
 
     def test_half_half_stretched_state_is_product(self):
         cb = coupled_basis(build_composite(0.5, 0.5), X3)
-        top = cb.kets[(cb.s == 1.0) & (cb.mu == 1.0)][0]
+        top = cb.kets[(cb.s == 1.0) & (cb.eigenvalues == 1.0)][0]
         assert np.allclose(top, [1, 0, 0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("s1,s2", ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0)))
@@ -97,9 +97,9 @@ class TestCoupledBasis:
         c = build_composite(s1, s2)
         n = Direction3.from_angles(1.3, 0.4)
         cb = coupled_basis(c, n)
-        assert cb.kets.shape == (c.dim, c.dim) and cb.s.shape == cb.mu.shape == (c.dim,)
+        assert cb.kets.shape == (c.dim, c.dim) and cb.s.shape == cb.eigenvalues.shape == (c.dim,)
         total = c.total_along(n)
-        for vec, s, mu in zip(cb.kets, cb.s, cb.mu):
+        for vec, s, mu in zip(cb.kets, cb.s, cb.eigenvalues):
             assert np.max(np.abs(total @ vec - mu * vec)) < 1e-9
             assert np.max(np.abs(c.total_s_squared @ vec - s * (s + 1) * vec)) < 1e-9
 
@@ -164,7 +164,7 @@ class TestProductBasis:
         c = build_composite(0.5, 0.5)
         n = Direction3.from_angles(1.7, 2.3)
         cb, pb = coupled_basis(c, n), product_basis(c, n)
-        coupled = dict(zip(zip(cb.s, cb.mu), cb.kets))
+        coupled = dict(zip(zip(cb.s, cb.eigenvalues), cb.kets))
         product = dict(zip(zip(pb.mu1, pb.mu2), pb.kets))
         for (mu, key) in ((1.0, (0.5, 0.5)), (-1.0, (-0.5, -0.5))):
             overlap = abs(np.vdot(coupled[(1.0, mu)], product[key]))

@@ -157,7 +157,7 @@ class TestSpaceVectorComposite:
         v = space_vector_composite(c, n, "coupled", g)
         cb = coupled_basis(c, n)
         vertices = {(s, mu): state_to_bloch(ket_state(ket), g).coords
-                    for s, mu, ket in zip(cb.s, cb.mu, cb.kets)}
+                    for s, mu, ket in zip(cb.s, cb.eigenvalues, cb.kets)}
         expected = np.sqrt(3 / 8) * (vertices[(1.0, 1.0)] - vertices[(1.0, -1.0)])
         assert np.max(np.abs(v.coords - expected)) < 1e-10
 
@@ -184,7 +184,7 @@ class TestSpaceVectorComposite:
         n = Direction3.from_angles(1.2, -2.0)
         v = space_vector_composite(c, n, "coupled", g)
         cb = coupled_basis(c, n)
-        for mu, ket in zip(cb.mu, cb.kets):
+        for mu, ket in zip(cb.eigenvalues, cb.kets):
             if mu == 0.0:
                 vertex = state_to_bloch(ket_state(ket), g).coords
                 assert abs(vertex @ v.coords) < 1e-10

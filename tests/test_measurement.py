@@ -430,9 +430,8 @@ class TestLuedersPostState:
 
 class TestRunMeasurement:
     def test_eigenstate_has_zero_deviation(self):
-        obs = spin_along(build_spin_system(1.0), X3)
-        stats = run_measurement(ket_state(obs.kets[0]), obs, samples=5000, seed=17,
-                                generators=build_generators(3))
+        m, g = spin_simplex(1.0)
+        stats = run_measurement(ket_state(m.kets[0]), m, samples=5000, seed=17, generators=g)
         assert stats.max_abs_deviation == 0.0
         assert np.array_equal(stats.counts, [5000, 0, 0])
 
@@ -495,19 +494,19 @@ class TestRunMeasurement:
             assert np.max(np.abs(degenerate[0].post_state.matrix - expected)) < 1e-10
 
     def test_rejects_zero_samples(self):
-        obs = spin_along(build_spin_system(0.5), X3)
+        m, g = spin_simplex(0.5)
         psi = pure_state_from_direction(0.3, 0.0)
         with pytest.raises(ValueError, match="sample"):
-            run_measurement(psi, obs, samples=0, seed=1, generators=build_generators(2))
+            run_measurement(psi, m, samples=0, seed=1, generators=g)
 
 
 CHUNK = measurement._CHUNK_SAMPLES
 
 
-def stream_counts(stats, seed):
-    """The counts of the whole-array path: every point drawn at once,
-    normalized, and classified by the ``winning_vertices`` oracle."""
-    m = stats.simplex
+def stream_counts(m, stats, seed):
+    """The counts of the whole-array path on the simplex ``m``: every point
+    drawn at once, normalized, and classified by the ``winning_vertices``
+    oracle."""
     lam = barycentric_stream(m.dim_n, seed, 0, stats.samples)
     vertex_counts = np.bincount(winning_vertices(lam, stats.vertex_weights),
                                 minlength=m.dim_n)
@@ -545,7 +544,7 @@ def test_counts_match_the_whole_array_path(n, kind, samples, seed):
     kets, values = random_observable_frame(n, rng)
     m = simplex_from_observable((kets, values), g)
     stats = run_measurement(sampled_state(kind, m, rng), m, samples, seed, generators=g)
-    assert np.array_equal(stats.counts, stream_counts(stats, seed))
+    assert np.array_equal(stats.counts, stream_counts(m, stats, seed))
 
 
 @settings(max_examples=15, deadline=None)
@@ -557,7 +556,7 @@ def test_degenerate_coupled_counts_match_the_whole_array_path(kind, samples, see
     assert m.n_outcomes == 3
     psi = sampled_state(kind, m, np.random.default_rng(seed))
     stats = run_measurement(psi, m, samples, seed, generators=g)
-    assert np.array_equal(stats.counts, stream_counts(stats, seed))
+    assert np.array_equal(stats.counts, stream_counts(m, stats, seed))
 
 
 @pytest.mark.parametrize("n", (2, 5, 16, 64))
@@ -578,7 +577,7 @@ def test_counts_do_not_depend_on_the_chunk_size(n, monkeypatch):
             assert np.array_equal(rec.lambda_, first.lambda_)
             assert rec.outcome_index == first.outcome_index
     for stats in (runs[0], runs[2]):
-        assert np.array_equal(stats.counts, stream_counts(stats, 61))
+        assert np.array_equal(stats.counts, stream_counts(m, stats, 61))
 
 
 def test_records_do_not_keep_the_sample_array():
@@ -648,7 +647,7 @@ def test_counts_do_not_depend_on_the_worker_count(case, chunk, samples, monkeypa
         monkeypatch.setattr(measurement, "_allowed_cores", lambda workers=workers: workers)
         runs.append(run_measurement(psi, m, samples, 83, generators=g))
     for stats in runs:
-        assert np.array_equal(stats.counts, stream_counts(stats, 83))
+        assert np.array_equal(stats.counts, stream_counts(m, stats, 83))
 
 
 @pytest.mark.parametrize("case", ("zero weight", "1/2x1/2 coupled"))
@@ -738,7 +737,7 @@ def test_a_failing_helper_fails_the_call(monkeypatch):
         return
     # the helper got no window before the calling thread had counted them all
     assert all(t is threading.main_thread() for t in calls)
-    assert np.array_equal(stats.counts, stream_counts(stats, 101))
+    assert np.array_equal(stats.counts, stream_counts(m, stats, 101))
 
 
 def test_more_workers_than_cores_lose_no_window(monkeypatch):
@@ -762,7 +761,7 @@ def test_more_workers_than_cores_lose_no_window(monkeypatch):
     assert not caller.is_alive() and len(results) == 5
     assert len(started) == 3 * 5  # three helpers for each call
     for seed, stats in enumerate(results):
-        assert np.array_equal(stats.counts, stream_counts(stats, seed))
+        assert np.array_equal(stats.counts, stream_counts(m, stats, seed))
 
 
 @pytest.mark.parametrize("cores", (2, 4))
@@ -783,8 +782,8 @@ def test_no_sampler_thread_outlives_its_call(cores):
         g = build_generators(2)
         psi = bloch.random_density(2, np.random.default_rng(109))
         before = threading.active_count()
-        measurement.run_measurement(psi, spin_along(build_spin_system(0.5), X3), 200_000,
-                                    109, generators=g)
+        m = measurement.simplex_from_observable(spin_along(build_spin_system(0.5), X3), g)
+        measurement.run_measurement(psi, m, 200_000, 109, generators=g)
         print(len(started), before, threading.active_count())
     """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -8,6 +8,7 @@ case.  Reports carry their last bits, so every comparison here is bitwise:
 pass and, up to the sign of a zero, the einsum over the dense stack
 ``g.matrices`` (built up to N=24).
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -178,7 +179,7 @@ def _product_per_entry(c, d):
 
 def _assert_bases_match_the_per_entry_path(c, d):
     coupled, product = coupled_basis(c, d), product_basis(c, d)
-    for basis, labels, per_entry in ((coupled, (coupled.s, coupled.mu), _coupled_per_entry(c, d)),
+    for basis, labels, per_entry in ((coupled, (coupled.s, coupled.eigenvalues), _coupled_per_entry(c, d)),
                                      (product, (product.mu1, product.mu2), _product_per_entry(c, d))):
         assert basis.kets.flags.c_contiguous
         assert _bits(basis.kets) == _bits(np.stack([e[2] for e in per_entry]))
@@ -200,7 +201,7 @@ def test_composite_bases_match_the_per_vertex_path(two_s1, two_s2, seed):
     coupled, product = _assert_bases_match_the_per_entry_path(c, d)
     scale = direction_scale_composite(c.system1.dim, c.system2.dim)
     for name, basis in (("coupled", coupled), ("product", product)):
-        kets, weights = basis.eigensystem()
+        kets, weights = basis.kets, basis.eigenvalues
         per_entry = [ket_state(k) for k in kets]
         for p, expected in zip(_projectors(kets), per_entry):
             assert _bits(p) == _bits(expected.matrix)
@@ -208,6 +209,29 @@ def test_composite_bases_match_the_per_vertex_path(two_s1, two_s2, seed):
         per_vertex = np.stack([state_to_bloch(p, g).coords for p in per_entry])
         v = space_vector_composite(c, d, name, g)
         assert _bits(v.coords) == _bits(scale * (weights @ per_vertex))
+
+
+def _assert_same_simplex(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert (_bits(x) == _bits(y)) if isinstance(x, np.ndarray) else (x == y), field.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_s=st.integers(1, 63),
+       pair=st.integers(1, 31).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 64 // (a + 1) - 1))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_eigenbasis_is_its_kets_and_eigenvalues(two_s, pair, seed):
+    # one shape: a basis gives the simplex of its (kets, eigenvalues) pair, bit for bit
+    d = _direction(seed)
+    system, c = build_spin_system(two_s / 2), build_composite(pair[0] / 2, pair[1] / 2)
+    g, gc = build_generators(system.dim), build_generators(c.dim)
+    observable, product = spin_along(system, d), product_basis(c, d)
+    assert _bits(product.eigenvalues) == _bits(product.mu1 + product.mu2)
+    for basis, gen in ((observable, g), (simplex_from_observable(observable, g), g),
+                       (coupled_basis(c, d), gc), (product, gc)):
+        _assert_same_simplex(simplex_from_observable(basis, gen),
+                             simplex_from_observable((basis.kets, basis.eigenvalues), gen))
 
 
 @pytest.mark.parametrize("s", (1.5, 7.5, 17.5, 31.5))
@@ -309,7 +333,7 @@ def test_a_warm_composite_gives_a_fresh_ones_bits(s1, s2):
         coupled_basis(warm, _direction(seed))
     for d in (X3, _direction(5), _direction(0)):
         fresh, kept = coupled_basis(build_composite(s1, s2), d), coupled_basis(warm, d)
-        for a, b in ((fresh.kets, kept.kets), (fresh.s, kept.s), (fresh.mu, kept.mu)):
+        for a, b in ((fresh.kets, kept.kets), (fresh.s, kept.s), (fresh.eigenvalues, kept.eigenvalues)):
             assert _bits(a) == _bits(b)
 
 

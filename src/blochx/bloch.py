@@ -8,8 +8,8 @@ of the ball carries no state at all: the linear combination is always
 Hermitian with unit trace but need not be positive.
 
 Coordinates (``_bloch_rows``) are one stacked pass over kets or matrices, in
-blocks of at most 128 KiB; kets become projectors (``_projectors``) a block at a
-time, and a single state is the one-row case, with the same checks and bits.
+blocks of at most 128 KiB; a ket's are products of its own entries, bit for bit
+its projector's, and a single state is the one-row case, with the same checks.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSet, _generator_sum, _generator_traces
+from .generators import _BLOCK_BYTES, GeneratorSet, _entry_traces, _generator_sum, _generator_traces
 from .linalg import ValidationError, as_square_matrix, fix_phases, is_hermitian
 
 TRACE_ATOL = 1e-12
@@ -25,9 +25,6 @@ POSITIVITY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 PURITY_RANK1_ATOL = 1e-9
 RESIDUE_ATOL = 1e-10
-# bytes of N x N complex matrices per block of a stacked pass: a whole N=64 basis
-# at once ran slower than one state at a time, and 32 KiB (one N=36 matrix) lost the gain
-_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -114,12 +111,27 @@ class PureState:
 
 def state_to_bloch(d: DensityState, g: GeneratorSet) -> BlochVector:
     """Coordinates r_i = (N / 2c_N) Tr(D L_i) of an operator-state."""
-    return BlochVector(g.dim, _bloch_rows(d.matrix[None], g)[0])
+    vector = object.__new__(BlochVector)  # _bloch_rows made BlochVector's checks, with its texts
+    vector.__dict__.update(dim_n=g.dim, coords=_bloch_rows(d.matrix[None], g)[0])
+    return vector
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
     """The projector v v† of every row v of ``kets``, as one (k, N, N) stack."""
     return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+def _ket_entries(kets: np.ndarray, g: GeneratorSet) -> np.ndarray:
+    """The entries v_j conj(v_k) of the projector of every row v of ``kets``, with
+    the bits of ``_projectors``, as ``_entry_traces`` reads them.  Half of the
+    conjugates at a time, as at most a block and a half of entries is alive."""
+    rows, columns, _, _, _ = g._reads
+    kets = np.ascontiguousarray(kets.T)
+    entries, conj = np.take(kets, rows, axis=0), kets.conj()
+    half = len(entries) // 2
+    for part in slice(None, half), slice(half, None):
+        entries[part] *= np.take(conj, columns[part], axis=0)
+    return entries
 
 
 def _bloch_rows(states, g: GeneratorSet) -> np.ndarray:
@@ -131,23 +143,24 @@ def _bloch_rows(states, g: GeneratorSet) -> np.ndarray:
     rows = np.empty((len(states), n * n - 1))
     for start in range(0, len(rows), step):
         block = np.asarray(states[start:start + step], dtype=complex)
-        if block.ndim == 2:
-            block = _projectors(block)
-        if block.shape[1:] != (n, n):
+        if block.shape[1:] not in ((n,), (n, n)):
             raise ValueError(f"dimension mismatch: state is {block.shape[-1]}, generators are {n}")
-        raw = _generator_traces(block, g)
+        raw = _entry_traces(_ket_entries(block, g), g) if block.ndim == 2 else _generator_traces(block, g).T
         raw *= n / (2.0 * g.c)
         real = rows[start:start + len(block)]
-        real[...] = raw.real
+        real[...] = raw.real.T
         # np.linalg.norm's sum for axis=1 without its wrapper, which costs more than
         # the sum at small N
-        residue = np.maximum.reduce(np.abs(raw.imag), axis=1)
         norm = np.sqrt(np.add.reduce(real * real, axis=1))
-        bad = (residue > RESIDUE_ATOL) | ~(norm <= 1.0 + NORM_ATOL)
-        for i in bad.nonzero()[0]:
-            if residue[i] > RESIDUE_ATOL:
-                raise ValidationError(f"imaginary residue {residue[i]:.3e} in coordinates")
-            BlochVector(n, real[i])  # its own norm check, with its error text
+        # per state only once one fails: a maximum down ``raw`` walks 2 entries at a time at N=64
+        if np.maximum.reduce(np.abs(raw.imag), axis=None) > RESIDUE_ATOL \
+                or not np.maximum.reduce(norm) <= 1.0 + NORM_ATOL:
+            residue = np.maximum.reduce(np.abs(raw.imag), axis=0)
+            for i in ((residue > RESIDUE_ATOL) | ~(norm <= 1.0 + NORM_ATOL)).nonzero()[0]:
+                if residue[i] > RESIDUE_ATOL:
+                    raise ValidationError(f"imaginary residue {residue[i]:.3e} in coordinates")
+                BlochVector(n, real[i])  # its own norm check, with its error text
+        del raw  # before the next block's entries exist
     return rows
 
 

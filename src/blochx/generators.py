@@ -24,6 +24,10 @@ import numpy as np
 
 from .linalg import as_square_matrix
 
+# bytes of N x N complex matrices per block of a stacked coordinate pass: a whole N=64
+# basis at once ran slower than one state at a time, and 32 KiB (one N=36 matrix) lost the gain
+_BLOCK_BYTES = 128 * 1024
+
 
 def scale_constant(n: int) -> float:
     """sqrt(N(N-1)/2), the radial scale of the generator expansion of a
@@ -74,6 +78,18 @@ class GeneratorSet:
         norm = np.sqrt(2.0 / (l * (l + 1)))
         return j * n + k, k * n + j, norm, l * norm, np.arange(n)[:, None] < l
 
+    @cached_property
+    def _reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries the coordinate maps read, a_jk (j < k), a_kj, then a_jj, as rows,
+        columns and flat positions; the diagonal entry of each term a_jj sqrt(2/(l(l+1)))
+        (j < N, 0 < l < N), then l a_ll sqrt(2/(l(l+1))), and the terms' complex factors
+        in rows for half a block of operators, two at least (up to 128 KiB)."""
+        n, (j, k), diagonal = self.dim, np.triu_indices(self.dim, 1), np.arange(self.dim)
+        rows, columns = np.concatenate([j, k, diagonal]), np.concatenate([k, j, diagonal])
+        factors = np.concatenate([np.tile(self._layout[2], n), self._layout[3]]).astype(complex)
+        return (rows, columns, rows * n + columns, np.concatenate([np.repeat(diagonal, n - 1), diagonal[1:]]),
+                np.tile(factors, (max(2, _BLOCK_BYTES // (32 * n * n)), 1)))
+
     def __len__(self) -> int:
         return self.dim * self.dim - 1
 
@@ -89,35 +105,41 @@ def build_generators(n: int) -> GeneratorSet:
 
 
 def _generator_traces(a: np.ndarray, g: GeneratorSet) -> np.ndarray:
-    """Tr(a L_i) for every generator, in the generator order, read off the
-    entries of ``a``: a_jk + a_kj and -i(a_kj - a_jk) for the pairs j < k,
-    and sqrt(2/(l(l+1))) (a_00 + ... + a_(l-1)(l-1) - l a_ll) for the
-    diagonal members.  Complex, so a non-Hermitian ``a`` keeps its
-    imaginary parts.  A (k, N, N) stack gives the bits of each matrix alone."""
-    upper, lower, norm, l_norm, below = g._layout
-    d = a.diagonal(axis1=-2, axis2=-1)
-    # each diagonal entry is scaled before it is summed, left to right, as
-    # np.einsum over the dense stack sums it, so the traces equal that
-    # contraction by value (a zero may carry the other sign).  The products come
-    # first: numpy's broadcast multiply holds two buffers of up to 128 KiB while
-    # it runs, and nothing else is alive yet
-    terms = norm * d[..., :, None]
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    # np.take, as indexing the last axis of a stack with an array ran up to 4x slower
-    a_jk, a_kj = np.take(flat, upper, axis=-1), np.take(flat, lower, axis=-1)
-    pairs = len(upper)
-    out = np.empty(a.shape[:-2] + (len(g),), dtype=complex)
-    np.add(a_jk, a_kj, out=out[..., :pairs])
-    anti = np.subtract(a_kj, a_jk, out=out[..., pairs:2 * pairs])
-    np.multiply(-1j, anti, out=anti)
-    # member l sums the products of the entries j < l (the mask ``below``) over the
-    # middle axis of the (k, N, N-1) terms: numpy adds along an outer axis one j
-    # after the other, in einsum's left-to-right order (along the inner axis it
-    # would sum pairwise, in another order).  The sum starts from -0, as -0 + x = x
-    # for every x keeps each zero's sign where numpy's default start, +0, turns a
-    # -0 into +0
-    head = np.add.reduce(terms, axis=-2, out=out[..., 2 * pairs:], where=below, initial=-0j)
-    np.subtract(head, l_norm * d[..., 1:], out=head)
+    """Tr(a L_i) for every generator, in the generator order, of a matrix or of
+    each matrix of a (k, N, N) stack (as its rows)."""
+    entries = np.take(a.reshape(-1, g.dim * g.dim).T, g._reads[2], axis=0)
+    return np.ascontiguousarray(_entry_traces(entries, g).T).reshape(a.shape[:-2] + (-1,))
+
+
+def _entry_traces(e: np.ndarray, g: GeneratorSet) -> np.ndarray:
+    """Tr(a L_i) of k operators a, one per column of their (N^2, k) entries ``e`` in
+    the order of ``_reads``, computed over ``e``, whose first N^2 - 1 rows it returns:
+    a_jk + a_kj and -i(a_kj - a_jk) for the pairs j < k, and sqrt(2/(l(l+1))) (a_00 + ...
+    + a_(l-1)(l-1) - l a_ll) for the diagonal members; complex, each column's bits its own."""
+    (upper, _, _, _, below), (_, _, _, heads, factors) = g._layout, g._reads
+    n, pairs = g.dim, len(upper)
+    # every operand is one contiguous run: numpy buffers up to 128 KiB for each
+    # operand of a broadcast, a cast or a view it cannot walk in one stride
+    a_jk, a_kj = e[:pairs], e[pairs:2 * pairs]
+    anti = np.subtract(a_kj, a_jk)
+    np.add(a_jk, a_kj, out=a_jk)
+    np.multiply(-1j, anti, out=a_kj)
+    del anti
+    out, d = e[:len(g)], e[2 * pairs:].T
+    for start in range(0, len(d), len(factors)):
+        # each diagonal entry is scaled before it is summed, left to right, as
+        # np.einsum over the dense stack sums it, so the traces equal it by value (a
+        # zero may carry the other sign).  Member l sums the terms j < l (``below``)
+        # over the middle axis of the (k, N, N-1) terms: numpy adds along an outer
+        # axis one j after the other (along the inner axis it would sum pairwise).
+        # The sum starts from -0, as -0 + x = x keeps each zero's sign
+        terms = np.take(d[start:start + len(factors)], heads, axis=1)
+        np.multiply(factors[:len(terms)], terms, out=terms)
+        head = np.add.reduce(terms[:, :n * (n - 1)].reshape(-1, n, n - 1), axis=1,
+                             out=out[2 * pairs:, start:start + len(terms)].T,
+                             where=below, initial=-0j)
+        np.subtract(head, terms[:, n * (n - 1):], out=head)
+        del terms  # before the next chunk's terms exist
     return out
 
 

@@ -34,10 +34,14 @@ def child_env(env_extra=None):
 
     The absolute source root goes in front of any inherited PYTHONPATH, so a
     relative entry (such as ``src``) or another installed copy of blochx
-    cannot change what the child imports when it runs in another cwd.
+    cannot change what the child imports when it runs in another cwd.  An
+    inherited PYTHONUNBUFFERED is dropped, so every child's stdout is buffered
+    as a user's is: the bytes left in it are what the interpreter's exit would
+    flush again.
     """
     env = os.environ.copy()
     env.pop("BLOCHX_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT),
                                                       env.get("PYTHONPATH")]))
     if env_extra:
@@ -468,14 +472,6 @@ class TestVerify:
         assert json.loads(result.stdout)["pass"] is False
 
 
-def buffered_env():
-    """``child_env`` with stdout buffered, as it is by default: the bytes left
-    in a buffered stdout are what the interpreter's exit would flush again."""
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 class TestStdoutFailures:
     """A report that cannot reach stdout exits 1 with one error line and no
     traceback, and the interpreter's exit adds no "Exception ignored" line."""
@@ -483,7 +479,7 @@ class TestStdoutFailures:
     def test_closed_pipe(self, tmp_path):
         child = subprocess.Popen([sys.executable, "-m", "blochx", "generators", "--n", "32"],
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
-                                 env=buffered_env())
+                                 env=child_env())
         head = child.stdout.read(10)
         child.stdout.close()
         stderr = child.stderr.read().decode()
@@ -499,7 +495,7 @@ class TestStdoutFailures:
         try:
             result = subprocess.run([sys.executable, "-m", "blochx", "bloch", "--state",
                                      str(psi_file)], stdout=write, stderr=subprocess.PIPE,
-                                    text=True, cwd=tmp_path, env=buffered_env(), timeout=120)
+                                    text=True, cwd=tmp_path, env=child_env(), timeout=120)
         finally:
             os.close(write)
         assert result.returncode == 1
@@ -513,7 +509,7 @@ class TestStdoutFailures:
         with open("/dev/full", "w") as full:
             result = subprocess.run([sys.executable, "-m", "blochx", *argv], stdout=full,
                                     stderr=subprocess.PIPE, text=True, cwd=tmp_path,
-                                    env=buffered_env(), timeout=120)
+                                    env=child_env(), timeout=120)
         assert result.returncode == 1
         assert result.stderr == ("error: cannot write report to stdout: "
                                  "[Errno 28] No space left on device\n")

@@ -1,12 +1,13 @@
 """The stacked eigenbasis pass against its oracles.
 
 ``bloch._bloch_rows`` builds a whole eigenbasis's coordinate rows in blocks,
-straight from its kets or from matrices, and a single state is its one-row
-case.  Reports carry their last bits, so every comparison here is bitwise:
-``DensityState(np.outer(v, v.conj()))`` is the oracle for the projectors
-``bloch._projectors`` forms, and each coordinate row must equal its own one-row
-pass and, up to the sign of a zero, the einsum over the dense stack
-``g.matrices`` (built up to N=24).
+from products of its kets' own entries or from matrices, and a single state is
+its one-row case.  Reports carry their last bits, so every comparison here is
+bitwise: ``DensityState(np.outer(v, v.conj()))`` is the oracle for the
+projectors ``bloch._projectors`` forms, the rows of kets must equal the rows of
+those projectors, which the ket pass never forms, and each coordinate row must
+equal its own one-row pass and, up to the sign of a zero, the einsum over the
+dense stack ``g.matrices`` (built up to N=24).
 """
 import dataclasses
 import tracemalloc
@@ -23,7 +24,7 @@ from blochx.correspondence import (direction_scale_composite, direction_scale_si
 from blochx.generators import build_generators
 from blochx.linalg import degeneracy_groups, eigh
 from blochx.measurement import simplex_from_observable
-from blochx.spin import X1, X3, Direction3, build_spin_system, spin_along
+from blochx.spin import X1, X2, X3, Direction3, build_spin_system, spin_along
 from conftest import fix_phase, ket_state, random_hermitian
 
 DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
@@ -34,6 +35,13 @@ DENSE_MAX_N = 24  # the dense stack holds 16 N^2 (N^2 - 1) bytes: 5.3 MB at N=24
 # DensityState projector
 N64_PEAK_BYTES = {"single": 4_000_000, "coupled": 4_000_000, "product": 4_000_000,
                   "simplex": 4_000_000}
+# tracemalloc peak of one _bloch_rows call on the 5/2 x 5/2 coupled kets (N=36): 372,960 B
+# of rows and at most a block and a half of entries, about 0.57 MB (1.11 MB while each block
+# became projectors through buffered broadcasts).  glibc trims the heap once its free top
+# passes twice the largest chunk it has unmapped, here the rows, so from about 0.75 MB on
+# every call handed its pages back and the next faulted them in again (126-173 minor faults
+# per direction_sweep operation)
+N36_PEAK_BYTES = 800_000
 
 
 def _frame(n, rng, degenerate):
@@ -81,14 +89,42 @@ def test_frames_match_the_per_vertex_path(n, degenerate, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 64), degenerate=st.booleans(), strided=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_kets_give_the_rows_of_their_projectors(n, degenerate, strided, seed):
-    kets = _frame(n, np.random.default_rng(seed), degenerate)
-    if not strided:
-        kets = np.ascontiguousarray(kets)
+       basis=st.sampled_from(("frame", "axis", "coupled", "product")), seed=st.integers(0, 2 ** 32 - 1))
+def test_kets_give_the_rows_of_their_projectors(n, degenerate, strided, basis, seed):
+    if basis == "frame":
+        kets = _frame(n, np.random.default_rng(seed), degenerate)
+    elif basis == "axis":  # kets of exact zeros, whose products carry zero signs
+        kets = spin_along(build_spin_system((n - 1) / 2), (X1, X2, X3)[seed % 3]).kets
+    else:  # the N=36 and N=64 composites
+        pair = build_composite(*((2.5, 2.5), (3.5, 3.5))[seed % 2])
+        kets = (coupled_basis if basis == "coupled" else product_basis)(pair, _direction(seed)).kets
+        n = pair.dim
+    kets = np.asfortranarray(kets) if strided else np.ascontiguousarray(kets)
     assert kets.flags.c_contiguous != strided
     g = build_generators(n)
     assert _bits(_bloch_rows(kets, g)) == _bits(_bloch_rows(_projectors(kets), g))
+
+
+def test_the_ket_pass_forms_no_projectors(monkeypatch):
+    calls = []
+
+    def spy(kets):
+        calls.append(len(kets))
+        return _projectors(kets)
+
+    monkeypatch.setattr(bloch, "_projectors", spy)
+    for s in (0.5, 7.5, 17.5, 31.5):
+        system = build_spin_system(s)
+        g = build_generators(system.dim)
+        _bloch_rows(spin_along(system, _direction(int(2 * s))).kets, g)
+        space_vector_single(system, X1, g)
+    pair = build_composite(2.5, 2.5)
+    g = build_generators(pair.dim)
+    for basis in ("coupled", "product"):
+        space_vector_composite(pair, _direction(1), basis, g)
+    assert not calls
+    PureState(np.array([0.6, 0.8j])).projector()  # the spy sees what bloch forms
+    assert calls == [1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,6 +392,14 @@ def test_n64_direction_vectors_stay_within_the_per_vertex_peak():
         pair = build_composite(3.5, 3.5)
         peak = _traced_peak(lambda: space_vector_composite(pair, X3, basis, g))
         assert peak <= N64_PEAK_BYTES[basis]
+
+
+def test_n36_rows_stay_within_their_peak():
+    pair = build_composite(2.5, 2.5)
+    g = build_generators(pair.dim)
+    g._reads  # built once per generator set, outside the measurement
+    kets = coupled_basis(pair, _direction(7)).kets
+    assert _traced_peak(lambda: _bloch_rows(kets, g)) <= N36_PEAK_BYTES
 
 
 def test_n64_simplex_stays_within_its_peak():

@@ -257,10 +257,13 @@ def _allowed_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
     """The winner of each row (draw) of uniforms in ``window``, as an index into
     ``positive``, the vertices of nonzero weight ``w`` (a column): the one rule
-    that classifies draws, for the counts and the records alike.
+    that classifies draws, for the counts and the records alike.  ``x`` is
+    scratch of shape (len(positive), at least len(window)), which the caller
+    keeps from window to window.
 
     A draw's point lambda = e / sum(e), e_j = -log1p(-u_j), lies in the
     sub-simplex spanned by the on-simplex state and the vertices other than
@@ -268,8 +271,9 @@ def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray) -> 
     are not normalized, as rescaling leaves the minimizer where it was: it is
     the first maximizer of -e_j / w_j, so boundary ties go to the lowest index.
     """
-    x = np.ascontiguousarray(window.T[positive])
-    np.negative(x, out=x)
+    x = x[:, :len(window)]
+    for i, c in enumerate(positive.tolist()):
+        np.negative(window[:, c], out=x[i])
     np.log1p(x, out=x)
     x /= w
     best = x[0]
@@ -298,11 +302,11 @@ def _count_windows(claims, seed: int, samples: int, draws: int, width: int,
     try:
         index = next(claims)
         stream = _stream(seed, index * draws, width)
-        u = np.empty((draws, width))
+        u, x = np.empty((draws, width)), np.empty((len(positive), draws))
         while index < total:
             window = u[:samples - index * draws]
             stream.random(out=window)
-            wins += np.bincount(_window_winners(window, positive, w), minlength=len(positive))
+            wins += np.bincount(_window_winners(window, positive, w, x), minlength=len(positive))
             if tallies:  # a worker failed, or one claimed past the end: all are taken
                 break
             last, index = index, next(claims)
@@ -387,7 +391,8 @@ def _records(weights: np.ndarray, m: MeasurementSimplex, seed: int, start: int,
     and one post-state built per winning outcome group."""
     width, positive = _width(m.dim_n), np.flatnonzero(weights > 0.0)
     u = _stream(seed, start, width).random((count, width))
-    winners = positive[_window_winners(u, positive, weights[positive][:, None])]
+    x = np.empty((len(positive), count))
+    winners = positive[_window_winners(u, positive, weights[positive][:, None], x)]
     groups = m.vertex_group[winners].tolist()
     posts = {gi: _post_state(m, gi, psi) for gi in dict.fromkeys(groups)}
     return [MeasurementRecord(lambda_=row, outcome_index=gi, post_state=posts[gi])

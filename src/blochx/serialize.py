@@ -4,8 +4,8 @@ significant digits.
 
 ``dumps`` takes complex ndarrays as they are: a vector, a matrix or a stack
 of matrices is written as its nested [re, im] lists, byte for byte what
-``dumps`` writes for those lists of Python floats, in one vectorized pass
-per matrix that formats each distinct float once.  A ``GeneratorSet``
+``dumps`` writes for those lists of Python floats, by one ``%`` of all of a
+matrix's floats over a template of its layout.  A ``GeneratorSet``
 is written as its stack of matrices would be, but member by member from its
 index arithmetic, so neither the N^4 stack nor its text is ever held.
 
@@ -67,15 +67,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (bool, int, float, np.integer, np.floating))
 
 
-def _nested_text(cells, level: int) -> str:
-    """Nested lists of already written [re, im] cells, laid out as _emit
-    lays out lists that are not all numbers."""
-    if not cells:
+def _template(shape: tuple, level: int) -> str:
+    """The text _emit writes for nested lists of [re, im] cells of ``shape``,
+    with a ``%.17g`` slot for each part."""
+    if not shape[0]:
         return "[]"
-    if not isinstance(cells[0], str):
-        cells = [_nested_text(row, level + 1) for row in cells]
-    inner = "  " * (level + 1)
-    return "[\n" + inner + (",\n" + inner).join(cells) + "\n" + "  " * level + "]"
+    cell = "[%.17g, %.17g]" if len(shape) == 1 else _template(shape[1:], level + 1)
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + cell + ("," + inner + cell) * (shape[0] - 1) + "\n" + "  " * level + "]"
 
 
 def _complex_text(a: np.ndarray, level: int) -> str:
@@ -84,14 +83,8 @@ def _complex_text(a: np.ndarray, level: int) -> str:
     finite = np.isfinite(parts)
     if not finite.all():
         _format_number(parts[np.argmin(finite)])  # raises for the first one
-    # distinct bit patterns, not values, so that -0.0 stays "-0"
-    floats, ids = np.unique(parts.view(np.int64), return_inverse=True)
-    text = [format(x, ".17g") for x in floats.view(np.float64).tolist()]
-    # each distinct [re, im] cell is written once too
-    pairs, ids = np.unique(ids[0::2] * len(floats) + ids[1::2], return_inverse=True)
-    cells = np.array([f"[{text[p // len(floats)]}, {text[p % len(floats)]}]"
-                      for p in pairs.tolist()], dtype=object)
-    return _nested_text(cells[ids].reshape(a.shape).tolist(), level)
+    # '%.17g' writes what format(x, ".17g") writes, -0.0 as "-0" too
+    return _template(a.shape, level) % tuple(parts.tolist())
 
 
 def _generator_text(g: GeneratorSet, level: int, out) -> None:

@@ -375,7 +375,8 @@ class TestSampleCollapse:
         for n, positive in ((2, [0, 1]), (5, [0, 1, 2, 3, 4]), (5, [1, 3, 4])):
             window = np.full((3, measurement._width(n)), 0.25)
             w = np.full((len(positive), 1), 1.0 / len(positive))
-            winners = measurement._window_winners(window, np.array(positive), w)
+            winners = measurement._window_winners(window, np.array(positive), w,
+                                                  np.empty((len(positive), 3)))
             assert np.array_equal(winners, [0, 0, 0])
 
     def test_all_zero_weights_rejected(self):

@@ -262,8 +262,10 @@ def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray,
     """The winner of each row (draw) of uniforms in ``window``, as an index into
     ``positive``, the vertices of nonzero weight ``w`` (a column): the one rule
     that classifies draws, for the counts and the records alike.  ``x`` is
-    scratch of shape (len(positive), at least len(window)), which the caller
-    keeps from window to window.
+    C-contiguous scratch of shape (len(positive), at least len(window)), which
+    the caller keeps from window to window; its leading floats hold the
+    window's columns as one contiguous block, as numpy buffers any operation
+    on a strided 2-D view.
 
     A draw's point lambda = e / sum(e), e_j = -log1p(-u_j), lies in the
     sub-simplex spanned by the on-simplex state and the vertices other than
@@ -271,7 +273,7 @@ def _window_winners(window: np.ndarray, positive: np.ndarray, w: np.ndarray,
     are not normalized, as rescaling leaves the minimizer where it was: it is
     the first maximizer of -e_j / w_j, so boundary ties go to the lowest index.
     """
-    x = x[:, :len(window)]
+    x = x.reshape(-1)[:len(positive) * len(window)].reshape(len(positive), -1)
     for i, c in enumerate(positive.tolist()):
         np.negative(window[:, c], out=x[i])
     np.log1p(x, out=x)

@@ -40,17 +40,21 @@ ZERO_PROBABILITY_ATOL = 1e-12
 RECORD_COUNT = 10  # full records kept by run_measurement
 
 _DOUBLES_PER_BLOCK = 4  # numpy's Philox yields four 64-bit words per counter step
-# A window of run_measurement's stream holds at most _CHUNK_SAMPLES draws, and
-# the windows that the workers of one call hold at once share _WINDOW_BYTES of
-# uniforms.  On one thread that is 8192 draws for N <= 8, then 4096, 2048 and
-# 1024 at N = 16, 32 and 64; two workers hold 8192 each up to N=4, then 4096
-# and 2048 at N = 8 and 16.  The uniforms and their gathered copy are the two
-# largest arrays, so one call's traced peak is 1.0-1.3 MB at N = 2...64 with
-# two workers (1.1-1.4 MB with four), against 0.6 MB at N=2 and 0.7 at N=4 on
-# one thread; a draw cap alone let it reach 12.7 MB at N=64.  32k draws ran
-# slower at N=16.  Two workers on split windows of 1024 and 512 draws (N = 32
-# and 64) ran 0.76-1.0x as fast as one thread while using 1.6 cores, hence
-# _MIN_SPLIT_DRAWS; a call of fewer than _MIN_SPLIT_WINDOWS windows (the
+# The sampler's window and worker policy.  run_measurement counts its draws in
+# windows of the stream of at most _CHUNK_SAMPLES draws, and the windows that
+# the workers of one call hold at once share _WINDOW_BYTES of uniforms, so
+# memory grows neither with the samples nor with N.  On one thread that is
+# 8192 draws for N <= 8, then 4096, 2048 and 1024 at N = 16, 32 and 64; two
+# workers hold 8192 each up to N=4, then 4096 and 2048 at N = 8 and 16.  Each
+# worker keeps its uniforms and the kernel's scratch, the two largest arrays,
+# from window to window.  One call's traced peak is 0.6 MB at N=2, 0.7 MB at
+# N=4 and 1.1-1.3 MB from N=8 on, on one thread, and 0.9-1.3 MB at N = 2...64
+# with two or four workers; a draw cap alone let it reach 12.7 MB at N=64.
+# 32k draws ran slower at N=16.  Up to _MAX_WORKERS workers count the
+# windows, no more than the allowed cores.  Two workers on split windows of
+# 1024 and 512 draws (N = 32 and 64) ran 0.76-1.0x as fast as one thread
+# while using 1.6 cores, hence _MIN_SPLIT_DRAWS, which keeps N >= 32 on the
+# calling thread; a call of fewer than _MIN_SPLIT_WINDOWS split windows (the
 # CLI's 1,000-sample runs) is not worth starting a helper thread for.
 _CHUNK_SAMPLES = 8192
 _WINDOW_BYTES = 512 * 1024
@@ -323,20 +327,14 @@ def _count_vertex_wins(n: int, seed: int, samples: int,
                       weights: np.ndarray) -> np.ndarray:
     """Per-vertex win counts of samples ``[0, samples)`` by ``_window_winners``,
     which the tests check against the paper's rule (their ``winning_vertices``),
-    read in windows of at most ``_CHUNK_SAMPLES`` draws and, over all
-    workers together, ``_WINDOW_BYTES`` of uniforms, so memory grows neither
-    with ``samples`` nor with ``n``.
+    in windows and on workers as the comment above ``_CHUNK_SAMPLES`` sets out.
 
-    Up to ``_MAX_WORKERS`` workers count the windows, no more than the
-    allowed cores, and no more than leave each window ``_MIN_SPLIT_DRAWS``
-    draws, so N >= 32 stays on the calling thread.  So does a call of fewer
-    draws than ``_MIN_SPLIT_WINDOWS`` split windows hold.  The calling
-    thread counts windows itself and starts one helper thread for each other
-    worker; it joins them all before it returns, so no thread outlives the
-    call, and the join waits only for windows already claimed.  If a worker
-    fails, the others stop after the window each is counting, and the call
-    raises the first failure once they are joined.  The counts are integer
-    sums, the same whichever worker draws which window.
+    The calling thread counts windows itself and starts one helper thread for
+    each other worker; it joins them all before it returns, so no thread
+    outlives the call, and the join waits only for windows already claimed.
+    If a worker fails, the others stop after the window each is counting, and
+    the call raises the first failure once they are joined.  The counts are
+    integer sums, the same whichever worker draws which window.
     """
     width = _width(n)
     workers = min(_allowed_cores(), _MAX_WORKERS,
@@ -426,15 +424,11 @@ def run_measurement(psi: DensityState, m: MeasurementSimplex, samples: int, seed
     frequencies, binomial standard errors, the largest absolute deviation, and
     the first ``RECORD_COUNT`` (10) full records.
 
-    Outcomes are counted in windows of the stream of at most 8192 draws, and
-    no disintegration point is kept.  Up to four workers, no more than the
-    process's allowed cores, count the windows: the calling thread and helper
-    threads started for this call and joined before it returns, each claiming
-    one window at a time.  All windows held at once share 512 KiB of
-    uniforms, so memory grows neither with ``samples`` nor with N (traced
-    peak 1.0-1.3 MB at N = 2...64 with two workers).  Runs of fewer than four
-    windows, and N >= 32, stay on the calling thread.  The counts depend
-    neither on the window size nor on which worker counted which window.
+    Outcomes are counted in windows of the stream, on the calling thread and
+    on helper threads joined before it returns, as the comment above
+    ``_CHUNK_SAMPLES`` sets out, and no disintegration point is kept.  The
+    counts depend neither on the window size nor on which worker counted
+    which window.
     Only the recorded samples are drawn again, by :func:`sample_collapse`'s
     path in one call, so each record's ``lambda_`` is a row of a
     ``(RECORD_COUNT, N)`` array.

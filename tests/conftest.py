@@ -92,7 +92,8 @@ def complex_to_json(z) -> list[float]:
 
 def matrix_to_json(m) -> list:
     """A complex matrix as rows of [re, im] cells of Python floats, one cell
-    at a time: the oracle for the serializer's vectorized ``_complex_text``."""
+    at a time: the oracle for the serializer's ``_complex_text``, which fills one
+    template of the array's shape."""
     m = np.asarray(m, dtype=complex)
     return [[complex_to_json(z) for z in row] for row in m]
 

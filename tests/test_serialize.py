@@ -1,11 +1,14 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blochx.bloch import _projectors
 from blochx.generators import build_generators
-from blochx.serialize import dumps, write
+from blochx.serialize import _complex_text, dumps, write
+from blochx.spin import Direction3, build_spin_system, spin_along
 from conftest import nested_lists
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-310, -5e-324,
@@ -14,7 +17,14 @@ FLOATS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=Fa
 SHAPES = st.one_of(st.tuples(st.integers(0, 5)),
                    st.integers(0, 5).map(lambda n: (n, n)),
                    st.tuples(st.integers(0, 3), st.integers(0, 4))
-                   .map(lambda kn: (kn[0], kn[1], kn[1])))
+                   .map(lambda kn: (kn[0], kn[1], kn[1])),
+                   st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                   st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)))
+# tracemalloc peak of _complex_text on one N=64 projector at a report's nesting: its
+# text is 241 kB, and its template and its 8,192 floats bring the peak to about 0.61 MB.
+# Formatting each distinct float once, through np.unique and an object array of
+# cells, peaked at 1.78 MB
+N64_PROJECTOR_TEXT_PEAK_BYTES = 800_000
 
 
 @st.composite
@@ -68,6 +78,20 @@ def test_non_finite_entries_raise_as_nested_lists_do(a, bad, wrap):
         dumps(wrap(a))
     assert str(from_array.value) == str(from_lists.value)
     assert str(from_array.value).startswith("non-finite number")
+
+
+def test_a_projector_is_formatted_within_its_peak():
+    d = Direction3.normalized([0.6313762241158432, 0.12798629680985413, 0.7648421872844885])
+    projector = _projectors(spin_along(build_spin_system(31.5), d).kets[:1])[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = _complex_text(projector, 2)  # as spin's report nests its eigenstates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 240_000
+    assert peak <= N64_PROJECTOR_TEXT_PEAK_BYTES
 
 
 def test_generator_stack_writes_its_nested_lists():
